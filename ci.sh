@@ -71,14 +71,15 @@ done
 # And the serving contract: the event-loop + readiness unit tests in
 # the serve crate, HTTP conformance (keep-alive, ETag/304, HEAD,
 # percent-decoding, typed query 400s, idle eviction, 503 shedding) +
-# the parser/packing/query fuzz properties, the parameterized query
-# engine (canonicalization, result-cache accounting, identical-input
-# hot swap), byte-identical responses and telemetry across worker
-# counts (plus the slow-reader fairness pin and the real-socket
-# smoke), and the CLI usage-error contract.
+# the parser/packing/query fuzz properties, the wire-bytes digest pin
+# and the scenario hot swap, the parameterized query engine
+# (canonicalization, result-cache accounting, identical-input hot
+# swap), byte-identical responses and telemetry across worker counts
+# (plus the slow-reader fairness pin and the real-socket smoke), and
+# the CLI usage-error contract.
 echo "==> serve suites"
 cargo test -q --offline -p govhost-serve
-cargo test -q --offline -p govhost-serve --test http_conformance --test prop_http
+cargo test -q --offline -p govhost-serve --test http_conformance --test prop_http --test wire_golden
 cargo test -q --offline -p govhost-serve --test query_engine
 cargo test -q --offline --test serve_http --test cli_usage
 
@@ -91,6 +92,12 @@ echo "==> scenario suites"
 cargo test -q --offline -p govhost-scenario
 cargo test -q --offline -p govhost-scenario --test prop_dsl
 cargo test -q --offline --test scenario
+
+# The benchmark harness is its own cargo workspace, so the workspace
+# passes above never compile it: build and unit-test it here, so an
+# API change it depends on fails CI instead of the benchmark run.
+echo "==> perfbench harness"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 if [ "$run_bench" = 1 ]; then
     echo "==> bench smoke (1 iteration each, writes BENCH_*.json)"

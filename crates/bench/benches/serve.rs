@@ -15,17 +15,22 @@
 //! - every request answered: responses == requests, and the connection
 //!   reuse ratio matches the configured pipeline depth.
 //!
+//! Every connection runs through the event loop ([`serve_in_memory`]).
 //! Latency is measured from the transport: the gap between one
-//! request's first read and the next (the serve loop writes response
-//! `k` before reading request `k+1`, so the gap brackets the full
-//! parse → route → encode → write cycle). Smoke mode shrinks the
-//! volume, never the checks.
+//! request's first read and the next. The loop reads a burst — until
+//! its 64 KiB per-turn read cap, or until the queued responses pass the
+//! backpressure bound — parsing, routing and queueing each request as
+//! it arrives, and flushes the queued responses after the burst. So
+//! most gaps bracket parse → route → queue, and the gap that spans a
+//! burst boundary also carries that burst's vectored writes (the tail).
+//! Smoke mode shrinks the volume, never the checks.
 
 use govhost_core::prelude::*;
 use govhost_harness::bench::{black_box, Bench};
 use govhost_obs::TimeMode;
 use govhost_serve::{
-    serve_connection, ConnPolicy, Limits, MemConn, Pool, PoolConfig, QueryIndex, ServeState,
+    serve_in_memory, ConnPolicy, MemConn, Pool, QueryIndex, ServeState, ServerConfig,
+    DEFAULT_RESULT_CACHE,
 };
 use govhost_worldgen::prelude::*;
 use std::io::{Read, Write};
@@ -96,8 +101,8 @@ impl Read for LoadConn {
 
 impl Write for LoadConn {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        // The serve loop writes each response head as its own segment,
-        // so status lines always open a write.
+        // Without a vectored `write` of its own, the transport takes one
+        // segment per call, so status lines always open a write.
         if buf.starts_with(b"HTTP/1.1 ") {
             self.responses += 1;
             if buf.starts_with(b"HTTP/1.1 5") {
@@ -137,15 +142,19 @@ fn main() {
 
     let world = World::generate(&GenParams::tiny());
     let dataset = GovDataset::build(&world, &BuildOptions::default());
-    let state = Arc::new(ServeState::with_mode(&dataset, TimeMode::Deterministic));
+    let state_with_cache = |capacity: usize| {
+        Arc::new(ServeState::with_config(&dataset, TimeMode::Deterministic, capacity))
+    };
+    let state = state_with_cache(DEFAULT_RESULT_CACHE);
+    let policy = ConnPolicy::default();
 
     b.bench("serve/index_build_tiny", || {
         black_box(QueryIndex::build(black_box(&dataset)));
     });
 
     b.bench("serve/healthz_roundtrip", || {
-        let mut conn = MemConn::new(&b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"[..]);
-        serve_connection(&state, &mut conn, &Limits::default(), || false).expect("serve");
+        let wire = &b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"[..];
+        let conn = serve_in_memory(&state, &policy, MemConn::new(wire));
         black_box(conn.output().len());
     });
 
@@ -162,13 +171,11 @@ fn main() {
         "/providers?sort=asn&limit=20",
         "/countries?sort=hhi&limit=20",
     ];
-    let roundtrip = |state: &ServeState, target: &str| -> Vec<u8> {
+    let roundtrip = |state: &Arc<ServeState>, target: &str| -> Vec<u8> {
         let raw = format!("GET {target} HTTP/1.1\r\nConnection: close\r\n\r\n");
-        let mut conn = MemConn::new(raw.into_bytes());
-        serve_connection(state, &mut conn, &Limits::default(), || false).expect("serve");
-        conn.output().to_vec()
+        serve_in_memory(state, &policy, MemConn::new(raw)).output().to_vec()
     };
-    let cold_state = Arc::new(ServeState::with_config(&dataset, TimeMode::Deterministic, 0));
+    let cold_state = state_with_cache(0);
     for target in mix {
         let hot = roundtrip(&state, target); // warms the cache on first touch
         let cold = roundtrip(&cold_state, target);
@@ -205,9 +212,8 @@ fn main() {
                 let mut responses = 0u64;
                 let mut five_xx = 0u64;
                 for c in 0..conns_per_client {
-                    let mut conn = LoadConn::new(reqs_per_conn, client + c);
-                    serve_connection(&state, &mut conn, &Limits::default(), || false)
-                        .expect("in-memory serve cannot fail");
+                    let load = LoadConn::new(reqs_per_conn, client + c);
+                    let mut conn = serve_in_memory(&state, &ConnPolicy::default(), load);
                     latencies_ns.append(&mut conn.latencies_ns);
                     responses += conn.responses;
                     five_xx += conn.five_xx;
@@ -262,10 +268,11 @@ fn main() {
     // follow-up submission must shed with a counted `503 Retry-After`.
     // This is the only window where 5xx responses are expected, and
     // every one of them must be a shed.
-    let shed_state = Arc::new(ServeState::with_mode(&dataset, TimeMode::Deterministic));
+    let shed_state = state_with_cache(DEFAULT_RESULT_CACHE);
     let overload = if b.smoke() { 16usize } else { 256 };
     let policy = ConnPolicy { idle_timeout: Duration::from_millis(50), ..ConnPolicy::default() };
-    let pool = Pool::start_with(Arc::clone(&shed_state), 1, PoolConfig { policy, max_conns: 1 });
+    let config = ServerConfig { threads: 1, max_conns: 1, policy };
+    let pool = Pool::start(Arc::clone(&shed_state), config);
     let started = Instant::now();
     assert!(pool.submit(Box::new(Stuck)), "the stuck connection takes the only slot");
     let mut shed_five_xx = 0u64;

@@ -31,7 +31,6 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Mutex};
 
 /// Hard ceiling on worker threads; protects against a runaway
@@ -268,32 +267,6 @@ where
         .collect()
 }
 
-/// Accumulated wall time of a (possibly concurrent) pipeline stage, in
-/// nanoseconds, safe to bump from worker threads.
-///
-/// For fanned-out stages the accumulated value is *busy* time summed
-/// across workers — it can exceed elapsed wall-clock time, and the ratio
-/// of the two is the stage's effective parallelism.
-#[derive(Debug, Default)]
-pub struct AtomicNanos(std::sync::atomic::AtomicU64);
-
-impl AtomicNanos {
-    /// Zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one measured duration.
-    pub fn add(&self, d: std::time::Duration) {
-        self.0.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Total accumulated nanoseconds.
-    pub fn total(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,13 +451,5 @@ mod tests {
     fn resolve_threads_is_positive_and_bounded() {
         let n = resolve_threads();
         assert!((1..=MAX_THREADS).contains(&n));
-    }
-
-    #[test]
-    fn atomic_nanos_accumulates() {
-        let n = AtomicNanos::new();
-        n.add(std::time::Duration::from_nanos(40));
-        n.add(std::time::Duration::from_nanos(2));
-        assert_eq!(n.total(), 42);
     }
 }

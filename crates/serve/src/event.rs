@@ -49,9 +49,8 @@ use std::time::{Duration, Instant};
 /// a firehosing client cannot monopolise a worker's turn.
 const READ_BURST: usize = 64 * 1024;
 
-/// Per-connection serving policy shared by the event loop and the
-/// blocking [`serve_connection_with`](crate::serve_connection_with)
-/// helper.
+/// Per-connection serving policy of the [`EventLoop`], set through
+/// [`ServerConfig::policy`](crate::ServerConfig::policy).
 #[derive(Debug, Clone)]
 pub struct ConnPolicy {
     /// Parser limits (per request).
@@ -805,7 +804,11 @@ mod tests {
     fn state() -> Arc<ServeState> {
         let world = World::generate(&GenParams::tiny());
         let dataset = GovDataset::build(&world, &BuildOptions::default());
-        Arc::new(ServeState::with_mode(&dataset, TimeMode::Deterministic))
+        Arc::new(ServeState::with_config(
+            &dataset,
+            TimeMode::Deterministic,
+            crate::DEFAULT_RESULT_CACHE,
+        ))
     }
 
     /// A transport with a script of read chunks (then `WouldBlock`, or

@@ -131,8 +131,11 @@ impl RouteSlab {
     }
 }
 
-/// Precomputed response slabs for every route `govhost-serve` answers,
-/// plus the row tables the parameterized query engine scans.
+/// Precomputed response slabs for every route `govhost-serve` answers
+/// — history series and scenario slabs included — plus the row tables
+/// the parameterized query engine scans. One index is one served
+/// snapshot: [`ServeState::swap_index`](crate::ServeState::swap_index)
+/// replaces all of it at once.
 #[derive(Debug, Clone)]
 pub struct QueryIndex {
     healthz: RouteSlab,
@@ -143,6 +146,7 @@ pub struct QueryIndex {
     hhi: RouteSlab,
     tables: crate::query::QueryTables,
     timeline: crate::history::TimelineIndex,
+    scenarios: crate::scenario::ScenarioIndex,
 }
 
 impl QueryIndex {
@@ -270,7 +274,15 @@ impl QueryIndex {
             hhi: RouteSlab::json(hhi),
             tables,
             timeline: crate::history::TimelineIndex::build(timeline),
+            scenarios: crate::scenario::ScenarioIndex::default(),
         }
+    }
+
+    /// This index with `scenarios` behind `/scenario/{name}` and
+    /// `/scenario/{name}/diff` (without them every scenario is a `404`).
+    pub fn with_scenarios(mut self, scenarios: crate::scenario::ScenarioIndex) -> QueryIndex {
+        self.scenarios = scenarios;
+        self
     }
 
     /// The row tables behind the parameterized routes.
@@ -281,6 +293,11 @@ impl QueryIndex {
     /// The per-year series behind the history routes.
     pub fn timeline(&self) -> &crate::history::TimelineIndex {
         &self.timeline
+    }
+
+    /// The prerendered scenario slabs behind the `/scenario` routes.
+    pub(crate) fn scenarios(&self) -> &crate::scenario::ScenarioIndex {
+        &self.scenarios
     }
 
     /// The `/healthz` body.

@@ -31,8 +31,12 @@
 //! canonicalize, execute — and land in a bounded deterministic
 //! [`ResultCache`] whose entries carry their own head slab and ETag.
 //! Fixed routes reject every query parameter with the same typed
-//! `400`. The served [`QueryIndex`] is hot-swappable through
-//! [`ServeState::swap_index`], which atomically invalidates the cache.
+//! `400`. One declarative route table maps each path pattern to its
+//! metric label and its source, which implies its parameter grammar,
+//! and every request is matched against it once. The served [`QueryIndex`] — history
+//! series and scenario slabs included — is hot-swappable as a whole
+//! through [`ServeState::swap_index`], which atomically invalidates the
+//! cache.
 //!
 //! ## Architecture
 //!
@@ -57,22 +61,27 @@
 //! sheds, like every request, are accounted through `govhost-obs` and
 //! rendered by `/metrics`.
 //!
-//! Transport hides behind the [`Connection`] trait and scheduling
-//! behind [`Readiness`] + [`Clock`], so the whole stack is testable
-//! in-process over [`MemConn`] with [`FakeReadiness`] and
-//! [`FakeClock`] — response bytes are pinned identical across 1/2/4
-//! event-loop workers, sockets never enter the tests.
+//! Every connection — a socket or the in-process [`MemConn`] — goes
+//! through the one [`EventLoop`]: transport hides behind the
+//! [`Connection`] trait and scheduling behind [`Readiness`] +
+//! [`Clock`], so [`serve_in_memory`] can turn that loop over a
+//! [`MemConn`] with [`FakeReadiness`] and [`FakeClock`] until the
+//! connection finishes. That is how the tests drive the whole stack:
+//! response bytes are pinned identical across 1/2/4 event-loop
+//! workers, and sockets never enter the tests.
 //!
 //! ```
 //! use govhost_core::prelude::*;
-//! use govhost_serve::{serve_connection, Limits, MemConn, ServeState};
+//! use govhost_obs::TimeMode;
+//! use govhost_serve::{serve_in_memory, ConnPolicy, MemConn, ServeState};
 //! use govhost_worldgen::prelude::*;
+//! use std::sync::Arc;
 //!
 //! let world = World::generate(&GenParams::tiny());
 //! let dataset = GovDataset::build(&world, &BuildOptions::default());
-//! let state = ServeState::new(&dataset);
-//! let mut conn = MemConn::new(&b"GET /healthz HTTP/1.1\r\n\r\n"[..]);
-//! serve_connection(&state, &mut conn, &Limits::default(), || false).unwrap();
+//! let state = Arc::new(ServeState::with_config(&dataset, TimeMode::Deterministic, 128));
+//! let wire = &b"GET /healthz HTTP/1.1\r\n\r\n"[..];
+//! let conn = serve_in_memory(&state, &ConnPolicy::default(), MemConn::new(wire));
 //! assert!(conn.output().starts_with(b"HTTP/1.1 200 OK"));
 //! ```
 
@@ -95,10 +104,7 @@ pub use index::{etag_of, QueryIndex, RouteSlab};
 pub use query::{HistoryParams, IndexHandle, ResultCache, RouteQuery, DEFAULT_RESULT_CACHE};
 pub use router::{if_none_match, route_label, Bytes, Response, ServeState, ROUTES};
 pub use scenario::ScenarioIndex;
-pub use server::{
-    serve_connection, serve_connection_with, Connection, MemConn, Pool, PoolConfig, Server,
-    ServerConfig,
-};
+pub use server::{serve_in_memory, Connection, MemConn, Pool, Server, ServerConfig};
 
 #[allow(unused_imports)] // doc links
 use govhost_core::prelude::GovDataset;

@@ -541,20 +541,17 @@ impl HistoryParams {
 }
 
 impl RouteQuery {
-    /// Parse and validate the raw query string of one parameterized
-    /// route. `route` must be one of `/flows`, `/providers`,
-    /// `/countries`.
+    /// Parse and validate the raw query string of the parameterized
+    /// route at path `route` (`/flows`, `/providers` or `/countries`);
+    /// any other path is a `404`.
     pub fn parse(route: &str, raw: &str) -> Result<RouteQuery, HttpError> {
-        let pairs = parse_pairs(raw)?;
-        match route {
-            "/flows" => Self::parse_flows(&pairs),
-            "/providers" => Self::parse_providers(&pairs),
-            "/countries" => Self::parse_countries(&pairs),
-            _ => unreachable!("RouteQuery::parse is only called for parameterized routes"),
-        }
+        let parse = crate::router::query_grammar(route).ok_or(HttpError::NotFound)?;
+        parse(raw)
     }
 
-    fn parse_flows(pairs: &[(String, String)]) -> Result<RouteQuery, HttpError> {
+    /// The `/flows` grammar.
+    pub(crate) fn flows(raw: &str) -> Result<RouteQuery, HttpError> {
+        let pairs = parse_pairs(raw)?;
         let mut lens = Slot::new("lens");
         let mut from = Slot::new("from");
         let mut to = Slot::new("to");
@@ -563,7 +560,7 @@ impl RouteQuery {
         let mut sort = Slot::new("sort");
         let mut limit = Slot::new("limit");
         let mut offset = Slot::new("offset");
-        for (key, value) in pairs {
+        for (key, value) in &pairs {
             assign(
                 &mut [
                     &mut lens,
@@ -634,13 +631,15 @@ impl RouteQuery {
         }))
     }
 
-    fn parse_providers(pairs: &[(String, String)]) -> Result<RouteQuery, HttpError> {
+    /// The `/providers` grammar.
+    pub(crate) fn providers(raw: &str) -> Result<RouteQuery, HttpError> {
+        let pairs = parse_pairs(raw)?;
         let mut country = Slot::new("country");
         let mut min_countries = Slot::new("min_countries");
         let mut sort = Slot::new("sort");
         let mut limit = Slot::new("limit");
         let mut offset = Slot::new("offset");
-        for (key, value) in pairs {
+        for (key, value) in &pairs {
             assign(
                 &mut [&mut country, &mut min_countries, &mut sort, &mut limit, &mut offset],
                 key,
@@ -679,12 +678,14 @@ impl RouteQuery {
         }))
     }
 
-    fn parse_countries(pairs: &[(String, String)]) -> Result<RouteQuery, HttpError> {
+    /// The `/countries` grammar.
+    pub(crate) fn countries(raw: &str) -> Result<RouteQuery, HttpError> {
+        let pairs = parse_pairs(raw)?;
         let mut region = Slot::new("region");
         let mut sort = Slot::new("sort");
         let mut limit = Slot::new("limit");
         let mut offset = Slot::new("offset");
-        for (key, value) in pairs {
+        for (key, value) in &pairs {
             assign(&mut [&mut region, &mut sort, &mut limit, &mut offset], key, value)?;
         }
         let region = match region.value {

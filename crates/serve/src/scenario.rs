@@ -3,7 +3,9 @@
 //!
 //! A [`ScenarioIndex`] is built once from evaluated
 //! [`ScenarioRun`]s — usually the CLI's `serve --scenario FILE` path —
-//! and every `/scenario/{name}` and `/scenario/{name}/diff` answer is a
+//! and travels inside the served [`QueryIndex`](crate::QueryIndex), so
+//! a hot swap replaces it together with every other slab. Every
+//! `/scenario/{name}` and `/scenario/{name}/diff` answer is a
 //! [`RouteSlab`] rendered here at build time: ETag included,
 //! `304`-able, and byte-identical across workers and runs because the
 //! JSON is a pure fold over the run's already-deterministic structures
@@ -15,7 +17,7 @@ use govhost_scenario::{report_cards, DiffReport, MetricRow, ScenarioRun};
 use std::collections::BTreeMap;
 
 /// One scenario's two prerendered answers.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ScenarioSlabs {
     /// `/scenario/{name}`: report cards plus ranked insights.
     report: RouteSlab,
@@ -23,8 +25,9 @@ struct ScenarioSlabs {
     diff: RouteSlab,
 }
 
-/// Every declared scenario, prerendered for serving.
-#[derive(Debug, Default)]
+/// Every declared scenario, prerendered for serving inside a
+/// [`QueryIndex`](crate::QueryIndex).
+#[derive(Debug, Clone, Default)]
 pub struct ScenarioIndex {
     entries: BTreeMap<String, ScenarioSlabs>,
 }

@@ -1,10 +1,13 @@
-//! The transport layer: a connection trait, the blocking per-connection
-//! serve loop, the event-loop worker pool, and the TCP acceptor.
+//! The transport layer: a connection trait, the event-loop worker
+//! pool, the TCP acceptor, and the in-memory connection tests drive it
+//! with.
 //!
 //! Transport is abstracted behind [`Connection`] (`Read + Write +
-//! Send`), so the full parser → router → encoder stack runs identically
-//! over a real [`std::net::TcpStream`] and over the in-process
-//! [`MemConn`] — which is how the conformance, determinism, and load
+//! Send`), so the one [`EventLoop`] serves a real
+//! [`std::net::TcpStream`] and the in-process [`MemConn`] alike.
+//! [`serve_in_memory`] turns that loop over a single in-memory
+//! connection (always-ready [`FakeReadiness`], a [`FakeClock`]) until
+//! it finishes — which is how the conformance, determinism and load
 //! tests drive the server without sockets.
 //!
 //! The pool runs one [`EventLoop`] per worker thread: accepted sockets
@@ -13,25 +16,26 @@
 //! slow connection never pins the thread), and a per-worker wake pipe
 //! lets the acceptor interrupt a sleeping poll when new work arrives.
 //! Admission control happens before the queue: past
-//! [`PoolConfig::max_conns`] in-flight connections the acceptor sheds
+//! [`ServerConfig::max_conns`] in-flight connections the acceptor sheds
 //! with a canned `503 Retry-After` instead of queueing unboundedly —
 //! written while the socket is still in blocking mode (bounded by a
 //! short write timeout), so the 503 actually reaches the peer under
-//! the very overload that triggers it.
+//! the very overload that triggers it. A failing `accept` (say `EMFILE`
+//! once `--max-conns` outgrows the descriptor limit) pauses the
+//! acceptor briefly instead of spinning on the error.
 //!
 //! Shutdown is graceful: the drain flag stops keep-alive after the
 //! in-flight request, queued connections are still served, quiet
 //! keep-alive peers are closed immediately instead of waiting out
 //! their idle timeout, and every thread is joined.
 
-use crate::event::{ConnPolicy, EventLoop, PollReadiness, SysClock};
-use crate::http::{HttpError, Limits, RequestParser};
+use crate::event::{ConnPolicy, EventLoop, FakeClock, FakeReadiness, PollReadiness, SysClock};
 use crate::router::{Response, ServeState};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -50,123 +54,8 @@ const WORKER_TICK: Duration = Duration::from_millis(25);
 /// longer than this.
 const SHED_WRITE_TIMEOUT: Duration = Duration::from_millis(100);
 
-/// Serve one connection to completion on the calling thread: parse
-/// requests (pipelining included), answer each through `state`, and
-/// honour keep-alive until the client closes, an error closes, or
-/// `draining` asks the loop to wind down after the in-flight request.
-///
-/// This is the blocking little sibling of the [`EventLoop`]: same
-/// parser, same router, same response bytes — handy for doctests and
-/// one-off in-process calls. [`serve_connection_with`] exposes the
-/// full [`ConnPolicy`] (request caps); this wrapper applies the
-/// default policy with the given parser `limits`.
-///
-/// A clean EOF between requests returns `Ok`; an EOF or read timeout
-/// mid-request answers `400` first. Write failures surface as the
-/// client disconnecting — there is nobody left to answer.
-pub fn serve_connection<C: Connection + ?Sized>(
-    state: &ServeState,
-    conn: &mut C,
-    limits: &Limits,
-    draining: impl Fn() -> bool,
-) -> std::io::Result<()> {
-    let policy = ConnPolicy { limits: limits.clone(), ..ConnPolicy::default() };
-    serve_connection_with(state, conn, &policy, draining)
-}
-
-/// [`serve_connection`] with the full per-connection policy: parser
-/// limits plus [`ConnPolicy::max_requests_per_conn`] (the final
-/// response on a capped pipeline carries `Connection: close`). The
-/// idle timeout and backpressure bound of the policy are readiness
-/// concerns and only apply inside the [`EventLoop`].
-pub fn serve_connection_with<C: Connection + ?Sized>(
-    state: &ServeState,
-    conn: &mut C,
-    policy: &ConnPolicy,
-    draining: impl Fn() -> bool,
-) -> std::io::Result<()> {
-    let mut parser = RequestParser::new(policy.limits.clone());
-    let mut chunk = [0u8; 4096];
-    let mut served = 0usize;
-    loop {
-        // Drain every complete buffered request before reading more.
-        loop {
-            match parser.next_request() {
-                Ok(Some(request)) => {
-                    served += 1;
-                    let response = state.respond(Ok(&request));
-                    let keep = request.keep_alive()
-                        && !draining()
-                        && served < policy.max_requests_per_conn;
-                    for seg in response.segments(keep) {
-                        conn.write_all(seg.as_slice())?;
-                    }
-                    if !keep {
-                        return Ok(());
-                    }
-                }
-                Ok(None) => break,
-                Err(error) => {
-                    let response = state.respond(Err(&error));
-                    for seg in response.segments(false) {
-                        conn.write_all(seg.as_slice())?;
-                    }
-                    return Ok(());
-                }
-            }
-        }
-        match conn.read(&mut chunk) {
-            Ok(0) => {
-                if parser.has_partial() {
-                    let error = HttpError::BadRequest("truncated request");
-                    let response = state.respond(Err(&error));
-                    for seg in response.segments(false) {
-                        conn.write_all(seg.as_slice())?;
-                    }
-                }
-                return Ok(());
-            }
-            Ok(n) => parser.push(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if parser.has_partial() {
-                    let error = HttpError::BadRequest("read timeout");
-                    let response = state.respond(Err(&error));
-                    for seg in response.segments(false) {
-                        conn.write_all(seg.as_slice())?;
-                    }
-                }
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 type BoxConn = Box<dyn Connection>;
 type Job = (BoxConn, Option<i32>);
-
-/// Configuration for [`Pool::start_with`].
-#[derive(Debug, Clone, Default)]
-pub struct PoolConfig {
-    /// Per-connection serving policy (limits, keep-alive caps,
-    /// idle timeout, backpressure bound).
-    pub policy: ConnPolicy,
-    /// Most in-flight connections across all workers; submissions past
-    /// this are shed with `503 Retry-After` instead of queued.
-    pub max_conns: usize,
-}
-
-impl PoolConfig {
-    fn normalized(mut self) -> PoolConfig {
-        if self.max_conns == 0 {
-            self.max_conns = 1024;
-        }
-        self
-    }
-}
 
 /// A fixed set of event-loop workers, each multiplexing its share of
 /// connections with readiness polling.
@@ -192,18 +81,11 @@ impl std::fmt::Debug for Pool {
 }
 
 impl Pool {
-    /// Start `threads` workers (at least one) serving `state` with the
-    /// default [`PoolConfig`] and the given parser `limits`.
-    pub fn start(state: Arc<ServeState>, threads: usize, limits: Limits) -> Pool {
-        let policy = ConnPolicy { limits, ..ConnPolicy::default() };
-        Pool::start_with(state, threads, PoolConfig { policy, ..PoolConfig::default() })
-    }
-
-    /// Start `threads` event-loop workers (at least one) serving
-    /// `state` under `config`.
-    pub fn start_with(state: Arc<ServeState>, threads: usize, config: PoolConfig) -> Pool {
-        let config = config.normalized();
-        let threads = threads.max(1);
+    /// Start `config.threads` event-loop workers (at least one)
+    /// serving `state`, admitting at most `config.max_conns`
+    /// connections (at least one) at a time.
+    pub fn start(state: Arc<ServeState>, config: ServerConfig) -> Pool {
+        let threads = config.threads.max(1);
         let draining = Arc::new(AtomicBool::new(false));
         let active = Arc::new(AtomicUsize::new(0));
         let mut senders = Vec::with_capacity(threads);
@@ -235,7 +117,7 @@ impl Pool {
             workers,
             next: AtomicUsize::new(0),
             active,
-            max_conns: config.max_conns,
+            max_conns: config.max_conns.max(1),
             draining,
         }
     }
@@ -261,7 +143,7 @@ impl Pool {
 
     /// Queue a connection together with its raw descriptor so the
     /// worker's readiness loop can poll it. Past
-    /// [`PoolConfig::max_conns`] in-flight connections the submission
+    /// [`ServerConfig::max_conns`] in-flight connections the submission
     /// is shed — answered directly with the canned `503 Retry-After`
     /// and counted in `/metrics` — which still returns `true`: the
     /// connection was handled, just not served. (The acceptor sheds
@@ -404,32 +286,38 @@ fn worker_loop(
     }
 }
 
-/// Configuration for [`Server::bind`].
+/// Configuration for [`Server::bind`] and [`Pool::start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads ([`crate::resolve_serve_threads`] by default).
     pub threads: usize,
-    /// Per-request parser limits.
-    pub limits: Limits,
-    /// Most requests served on one keep-alive connection.
-    pub max_requests_per_conn: usize,
-    /// Idle-connection eviction deadline.
-    pub idle_timeout: Duration,
-    /// Most in-flight connections before the acceptor sheds with
-    /// `503 Retry-After`.
+    /// Most in-flight connections (at least one; 0 admits one) before
+    /// the acceptor sheds with `503 Retry-After`.
     pub max_conns: usize,
+    /// Per-connection serving policy: parser limits, keep-alive cap,
+    /// idle timeout, backpressure bound.
+    pub policy: ConnPolicy,
 }
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
-        let policy = ConnPolicy::default();
         ServerConfig {
             threads: crate::resolve_serve_threads(),
-            limits: policy.limits,
-            max_requests_per_conn: policy.max_requests_per_conn,
-            idle_timeout: policy.idle_timeout,
             max_conns: 1024,
+            policy: ConnPolicy::default(),
         }
+    }
+}
+
+/// The pause before the acceptor retries after `accept` failed with
+/// `err`, if any. An interrupted call or a peer that aborted before
+/// being accepted is retried at once; anything else — `EMFILE` and its
+/// kin persist until a descriptor frees — waits one [`WORKER_TICK`]
+/// instead of spinning a core on the error.
+fn accept_backoff(err: &std::io::Error) -> Option<Duration> {
+    match err.kind() {
+        std::io::ErrorKind::Interrupted | std::io::ErrorKind::ConnectionAborted => None,
+        _ => Some(WORKER_TICK),
     }
 }
 
@@ -452,17 +340,7 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let policy = ConnPolicy {
-            limits: config.limits,
-            max_requests_per_conn: config.max_requests_per_conn.max(1),
-            idle_timeout: config.idle_timeout,
-            ..ConnPolicy::default()
-        };
-        let pool = Arc::new(Pool::start_with(
-            state,
-            config.threads,
-            PoolConfig { policy, max_conns: config.max_conns },
-        ));
+        let pool = Arc::new(Pool::start(state, config));
         let stop = Arc::new(AtomicBool::new(false));
         let acceptor = {
             let stop = Arc::clone(&stop);
@@ -474,7 +352,15 @@ impl Server {
                         if stop.load(Ordering::SeqCst) {
                             break;
                         }
-                        let Ok(mut stream) = stream else { continue };
+                        let mut stream = match stream {
+                            Ok(stream) => stream,
+                            Err(err) => {
+                                if let Some(pause) = accept_backoff(&err) {
+                                    std::thread::sleep(pause);
+                                }
+                                continue;
+                            }
+                        };
                         let _ = stream.set_nodelay(true);
                         if pool.is_saturated() {
                             // Shed while the socket still blocks, so
@@ -595,9 +481,91 @@ impl Drop for MemConn {
     }
 }
 
+/// A connection lent to an [`EventLoop`], which owns what it serves:
+/// the lender keeps the other handle, watches the count of bytes that
+/// crossed it, and takes the transport back once the loop has dropped
+/// its own.
+struct Lent<C>(Arc<Mutex<(C, usize)>>);
+
+impl<C> Lent<C> {
+    /// Run one transfer on the transport and count the bytes it moved.
+    fn count(&self, io: impl FnOnce(&mut C) -> std::io::Result<usize>) -> std::io::Result<usize> {
+        let mut lent = self.0.lock().expect("lent connection");
+        let n = io(&mut lent.0)?;
+        lent.1 += n;
+        Ok(n)
+    }
+}
+
+impl<C: Read> Read for Lent<C> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.count(|conn| conn.read(buf))
+    }
+}
+
+impl<C: Write> Write for Lent<C> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.count(|conn| conn.write(buf))
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        self.count(|conn| conn.write_vectored(bufs))
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.0.lock().expect("lent connection").0.flush()
+    }
+}
+
+/// How many turns in a row may move no byte before [`serve_in_memory`]
+/// gives up on its connection: with readiness always granted and the
+/// clock frozen, nothing but the transport can move the loop on.
+const STALLED_TURNS: usize = 16;
+
+/// Serve one in-process connection to completion on the calling thread
+/// and hand the transport back: a fresh [`EventLoop`] over `state`
+/// under `policy` — always-ready [`FakeReadiness`], a [`FakeClock`]
+/// that never advances, no drain — turns until the connection
+/// finishes. The transport has to end the exchange itself, by EOF (as
+/// [`MemConn`] does) or with a request that closes.
+///
+/// # Panics
+///
+/// With `event loop did not converge` once the loop has turned 16
+/// times in a row without a byte crossing the transport (one answering
+/// `WouldBlock`, say, or a loop bug): such a connection would otherwise
+/// never finish.
+pub fn serve_in_memory<C: Connection + 'static>(
+    state: &Arc<ServeState>,
+    policy: &ConnPolicy,
+    conn: C,
+) -> C {
+    let lent = Arc::new(Mutex::new((conn, 0)));
+    let mut el = EventLoop::new(
+        Arc::clone(state),
+        Box::new(FakeReadiness::always()),
+        Arc::new(FakeClock::new()),
+        policy.clone(),
+        Arc::new(AtomicBool::new(false)),
+    );
+    el.register(Box::new(Lent(Arc::clone(&lent))), None);
+    let (mut moved, mut stalled) = (0, 0);
+    while !el.is_empty() {
+        el.turn(None).expect("always-ready readiness cannot fail");
+        let now = lent.lock().expect("lent connection").1;
+        stalled = if now == moved { stalled + 1 } else { 0 };
+        moved = now;
+        assert!(stalled < STALLED_TURNS, "event loop did not converge");
+    }
+    drop(el);
+    let lent = Arc::try_unwrap(lent).ok().expect("the finished loop released the connection");
+    lent.into_inner().expect("lent connection").0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::DEFAULT_RESULT_CACHE;
     use govhost_core::prelude::*;
     use govhost_obs::TimeMode;
     use govhost_worldgen::prelude::*;
@@ -605,13 +573,16 @@ mod tests {
     fn state() -> Arc<ServeState> {
         let world = World::generate(&GenParams::tiny());
         let dataset = GovDataset::build(&world, &BuildOptions::default());
-        Arc::new(ServeState::with_mode(&dataset, TimeMode::Deterministic))
+        Arc::new(ServeState::with_config(&dataset, TimeMode::Deterministic, DEFAULT_RESULT_CACHE))
     }
 
-    fn roundtrip(state: &ServeState, input: &[u8]) -> String {
-        let mut conn = MemConn::new(input);
-        serve_connection(state, &mut conn, &Limits::default(), || false).unwrap();
+    fn roundtrip(state: &Arc<ServeState>, input: &[u8]) -> String {
+        let conn = serve_in_memory(state, &ConnPolicy::default(), MemConn::new(input));
         String::from_utf8_lossy(conn.output()).into_owned()
+    }
+
+    fn config(threads: usize) -> ServerConfig {
+        ServerConfig { threads, ..ServerConfig::default() }
     }
 
     #[test]
@@ -636,19 +607,8 @@ mod tests {
     }
 
     #[test]
-    fn blocking_loop_honours_max_requests_per_conn() {
-        let state = state();
-        let policy = ConnPolicy { max_requests_per_conn: 1, ..ConnPolicy::default() };
-        let mut conn = MemConn::new(&b"GET /healthz HTTP/1.1\r\n\r\nGET /hhi HTTP/1.1\r\n\r\n"[..]);
-        serve_connection_with(&state, &mut conn, &policy, || false).unwrap();
-        let out = String::from_utf8_lossy(conn.output()).into_owned();
-        assert_eq!(out.matches("HTTP/1.1 200 OK").count(), 1, "{out}");
-        assert!(out.contains("Connection: close"));
-    }
-
-    #[test]
     fn pool_serves_queued_connections_through_shutdown() {
-        let pool = Pool::start(state(), 2, Limits::default());
+        let pool = Pool::start(state(), config(2));
         let receivers: Vec<_> = (0..8)
             .map(|_| {
                 let (conn, rx) = MemConn::scripted(&b"GET /countries HTTP/1.1\r\n\r\n"[..]);
@@ -665,7 +625,7 @@ mod tests {
 
     #[test]
     fn draining_pool_closes_keep_alive_after_inflight_request() {
-        let pool = Pool::start(state(), 1, Limits::default());
+        let pool = Pool::start(state(), config(1));
         pool.begin_drain();
         let (conn, rx) = MemConn::scripted(&b"GET /healthz HTTP/1.1\r\n\r\n"[..]);
         assert!(pool.submit(Box::new(conn)));
@@ -677,8 +637,7 @@ mod tests {
     #[test]
     fn saturated_pool_sheds_with_503_retry_after() {
         let state = state();
-        let config = PoolConfig { max_conns: 1, ..PoolConfig::default() };
-        let pool = Pool::start_with(Arc::clone(&state), 1, config);
+        let pool = Pool::start(Arc::clone(&state), ServerConfig { max_conns: 1, ..config(1) });
         // Artificially saturate: claim the only slot without a worker
         // ever seeing it, then submit a real connection.
         pool.active.fetch_add(1, Ordering::SeqCst);
@@ -694,8 +653,17 @@ mod tests {
     }
 
     #[test]
+    fn zero_max_conns_still_admits_one_connection() {
+        let pool = Pool::start(state(), ServerConfig { max_conns: 0, ..config(1) });
+        let (conn, rx) = MemConn::scripted(&b"GET /healthz HTTP/1.1\r\n\r\n"[..]);
+        assert!(pool.submit(Box::new(conn)));
+        assert!(rx.recv().unwrap().starts_with(b"HTTP/1.1 200 OK"));
+        pool.shutdown();
+    }
+
+    #[test]
     fn pool_tracks_active_connections_back_to_zero() {
-        let pool = Pool::start(state(), 2, Limits::default());
+        let pool = Pool::start(state(), config(2));
         let receivers: Vec<_> = (0..4)
             .map(|_| {
                 let (conn, rx) = MemConn::scripted(&b"GET /hhi HTTP/1.1\r\n\r\n"[..]);
@@ -715,5 +683,25 @@ mod tests {
         }
         assert_eq!(pool.active_conns(), 0);
         pool.shutdown();
+    }
+
+    #[test]
+    fn accept_errors_back_off_unless_retrying_at_once_is_right() {
+        use std::io::{Error, ErrorKind};
+        // EMFILE: the process is out of descriptors until one frees.
+        assert_eq!(accept_backoff(&Error::from_raw_os_error(24)), Some(WORKER_TICK));
+        assert_eq!(accept_backoff(&Error::from(ErrorKind::OutOfMemory)), Some(WORKER_TICK));
+        assert_eq!(accept_backoff(&Error::from(ErrorKind::Interrupted)), None);
+        assert_eq!(accept_backoff(&Error::from(ErrorKind::ConnectionAborted)), None);
+    }
+
+    #[test]
+    #[cfg(unix)]
+    #[should_panic(expected = "event loop did not converge")]
+    fn a_connection_that_never_moves_a_byte_fails_instead_of_hanging() {
+        // Non-blocking, with the peer kept open: every read is WouldBlock.
+        let (conn, _peer) = std::os::unix::net::UnixStream::pair().unwrap();
+        conn.set_nonblocking(true).unwrap();
+        serve_in_memory(&state(), &ConnPolicy::default(), conn);
     }
 }

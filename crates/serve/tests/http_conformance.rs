@@ -1,78 +1,23 @@
 //! HTTP/1.1 conformance suite for the serving stack, run entirely
 //! in-process: every case drives the real parser → router → encoder
-//! path through [`serve_connection`] over a [`MemConn`], so the suite
-//! needs no sockets and pins the exact wire behaviour — which malformed
-//! inputs map to which status codes, when connections close, and how
-//! pipelining behaves.
+//! path through the event loop ([`serve_in_memory`]) over a
+//! [`MemConn`], so the suite needs no sockets and pins the exact wire
+//! behaviour — which malformed inputs map to which status codes, when
+//! connections close, and how pipelining behaves.
 
+mod common;
+
+use common::{serve_trickled, state};
 use govhost_core::prelude::*;
-use govhost_obs::TimeMode;
 use govhost_serve::{
-    serve_connection, serve_connection_with, ConnPolicy, EventLoop, FakeClock, FakeReadiness,
-    Limits, MemConn, Pool, PoolConfig, ServeState,
+    serve_in_memory, ConnPolicy, EventLoop, FakeClock, FakeReadiness, Limits, MemConn, Pool,
+    ServerConfig,
 };
 use govhost_worldgen::prelude::*;
 use std::io::{Read, Write};
 use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// One shared state for the whole suite: the index is immutable and the
-/// request telemetry only accumulates, so cases cannot interfere.
-fn state() -> &'static ServeState {
-    static STATE: OnceLock<ServeState> = OnceLock::new();
-    STATE.get_or_init(|| {
-        let world = World::generate(&GenParams::tiny());
-        let dataset = GovDataset::build(&world, &BuildOptions::default());
-        ServeState::with_mode(&dataset, TimeMode::Deterministic)
-    })
-}
-
-/// Shared `Arc` state for the cases that drive an [`EventLoop`] or
-/// [`Pool`] directly.
-fn astate() -> Arc<ServeState> {
-    static STATE: OnceLock<Arc<ServeState>> = OnceLock::new();
-    Arc::clone(STATE.get_or_init(|| {
-        let world = World::generate(&GenParams::tiny());
-        let dataset = GovDataset::build(&world, &BuildOptions::default());
-        Arc::new(ServeState::with_mode(&dataset, TimeMode::Deterministic))
-    }))
-}
-
-/// A transport that hands the server at most `chunk` input bytes per
-/// read — the wire arriving in arbitrary small pieces.
-struct Trickle {
-    input: Vec<u8>,
-    pos: usize,
-    chunk: usize,
-    output: Vec<u8>,
-}
-
-impl Trickle {
-    fn new(input: &[u8], chunk: usize) -> Trickle {
-        Trickle { input: input.to_vec(), pos: 0, chunk: chunk.max(1), output: Vec::new() }
-    }
-}
-
-impl Read for Trickle {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.chunk.min(buf.len()).min(self.input.len() - self.pos);
-        buf[..n].copy_from_slice(&self.input[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
-    }
-}
-
-impl Write for Trickle {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.output.extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
 
 /// The `ETag:` value of the first response in `out`.
 fn first_etag(out: &str) -> String {
@@ -83,8 +28,8 @@ fn first_etag(out: &str) -> String {
 }
 
 fn roundtrip_with(input: &[u8], limits: &Limits) -> String {
-    let mut conn = MemConn::new(input);
-    serve_connection(state(), &mut conn, limits, || false).expect("MemConn never errors");
+    let policy = ConnPolicy { limits: limits.clone(), ..ConnPolicy::default() };
+    let conn = serve_in_memory(&state(), &policy, MemConn::new(input));
     String::from_utf8_lossy(conn.output()).into_owned()
 }
 
@@ -461,9 +406,7 @@ fn pipelined_burst_survives_single_byte_chunking() {
                  GET /countries HTTP/1.1\r\nConnection: close\r\n\r\n";
     let whole = roundtrip(wire);
     for chunk in [1, 2, 3, 7] {
-        let mut conn = Trickle::new(wire, chunk);
-        serve_connection(state(), &mut conn, &Limits::default(), || false).unwrap();
-        let out = String::from_utf8_lossy(&conn.output).into_owned();
+        let out = String::from_utf8_lossy(&serve_trickled(&wire[..], chunk)).into_owned();
         assert_eq!(out, whole, "chunk size {chunk} changed the bytes");
         assert_eq!(response_count(&out), 3);
     }
@@ -475,9 +418,7 @@ fn request_split_mid_header_name_still_parses() {
     // between reads; the incremental parser must reassemble both.
     let wire = b"GET /flows HTTP/1.1\r\nConn\
                  ection: close\r\nX-Pad: 1\r\n\r\n";
-    let mut conn = Trickle::new(wire, 4);
-    serve_connection(state(), &mut conn, &Limits::default(), || false).unwrap();
-    let out = String::from_utf8_lossy(&conn.output).into_owned();
+    let out = String::from_utf8_lossy(&serve_trickled(&wire[..], 4)).into_owned();
     assert!(out.starts_with("HTTP/1.1 200 OK"), "{out}");
     assert!(out.contains("Connection: close\r\n"), "{out}");
 }
@@ -626,11 +567,11 @@ fn shed_connections_get_a_503_with_retry_after_on_the_wire() {
         }
     }
 
-    let state = astate();
+    let state = state();
     let before = state.shed_count();
     let policy =
         ConnPolicy { idle_timeout: Duration::from_millis(50), ..ConnPolicy::default() };
-    let pool = Pool::start_with(Arc::clone(&state), 1, PoolConfig { policy, max_conns: 1 });
+    let pool = Pool::start(Arc::clone(&state), ServerConfig { threads: 1, max_conns: 1, policy });
     let stuck_out = Arc::new(Mutex::new(Vec::new()));
     assert!(pool.submit(Box::new(Stuck(Arc::clone(&stuck_out)))));
     // The slot is taken synchronously, so the next submission sheds.
@@ -652,16 +593,16 @@ fn idle_timeout_evicts_a_half_request_with_400_on_the_wire() {
     let policy =
         ConnPolicy { idle_timeout: Duration::from_millis(200), ..ConnPolicy::default() };
     let mut el = EventLoop::new(
-        astate(),
+        state(),
         Box::new(FakeReadiness::always()),
         Arc::clone(&clock) as Arc<dyn govhost_serve::Clock>,
         policy,
         Arc::new(AtomicBool::new(false)),
     );
-    let conn = Trickle::new(b"GET /hhi HTTP/1.1\r\nHos", 64);
-    // Trickle EOFs after its input; wrap so the loop sees WouldBlock
+    let conn = MemConn::new(&b"GET /hhi HTTP/1.1\r\nHos"[..]);
+    // MemConn EOFs after its input; wrap so the loop sees WouldBlock
     // instead (the peer is just slow, not gone).
-    struct NoEof(Trickle, Arc<Mutex<Vec<u8>>>);
+    struct NoEof(MemConn, Arc<Mutex<Vec<u8>>>);
     impl Read for NoEof {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
             match self.0.read(buf) {
@@ -731,7 +672,7 @@ fn a_closing_peer_that_never_reads_is_abandoned_at_the_drain_deadline() {
     let policy =
         ConnPolicy { idle_timeout: Duration::from_millis(200), ..ConnPolicy::default() };
     let mut el = EventLoop::new(
-        astate(),
+        state(),
         Box::new(FakeReadiness::always()),
         Arc::clone(&clock) as Arc<dyn govhost_serve::Clock>,
         policy,
@@ -761,35 +702,9 @@ fn max_requests_per_conn_closes_after_the_cap() {
     for _ in 0..5 {
         wire.extend_from_slice(b"GET /healthz HTTP/1.1\r\n\r\n");
     }
-    let mut conn = MemConn::new(wire);
-    serve_connection_with(state(), &mut conn, &policy, || false).unwrap();
+    let conn = serve_in_memory(&state(), &policy, MemConn::new(wire));
     let out = String::from_utf8_lossy(conn.output()).into_owned();
     assert_eq!(response_count(&out), 3, "requests beyond the cap are not served: {out}");
     assert_eq!(out.matches("Connection: keep-alive\r\n").count(), 2, "{out}");
     assert_eq!(out.matches("Connection: close\r\n").count(), 1, "{out}");
-}
-
-#[test]
-fn blocking_loop_and_event_loop_emit_identical_bytes() {
-    let wire = b"GET /countries HTTP/1.1\r\n\r\n\
-                 GET /nope HTTP/1.1\r\n\r\n\
-                 GET /hhi HTTP/1.1\r\nConnection: close\r\n\r\n";
-    let state = astate();
-    let mut blocking = MemConn::new(&wire[..]);
-    serve_connection(&state, &mut blocking, &Limits::default(), || false).unwrap();
-
-    let mut el = EventLoop::new(
-        Arc::clone(&state),
-        Box::new(FakeReadiness::always()),
-        Arc::new(FakeClock::new()),
-        ConnPolicy::default(),
-        Arc::new(AtomicBool::new(false)),
-    );
-    let (conn, rx) = MemConn::scripted(&wire[..]);
-    el.register(Box::new(conn), None);
-    while !el.is_empty() {
-        el.turn(Some(Duration::from_millis(1))).unwrap();
-    }
-    let evented = rx.recv().unwrap();
-    assert_eq!(blocking.output(), &evented[..], "two schedulers, one wire format");
 }

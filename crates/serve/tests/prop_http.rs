@@ -5,77 +5,16 @@
 //! depend on how the input was framed into reads. Counterexamples are
 //! persisted in `tests/regressions/prop_http.txt`.
 
-use govhost_core::prelude::*;
+mod common;
+
+use common::{serve_trickled as serve, state};
 use govhost_harness::{gens, prop_assert, prop_assert_eq, Config, Gen};
-use govhost_obs::TimeMode;
-use govhost_serve::{
-    serve_connection, ConnPolicy, EventLoop, FakeClock, FakeReadiness, Limits, MemConn,
-    ServeState,
-};
-use govhost_worldgen::prelude::*;
-use std::io::{Read, Write};
-use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
+use govhost_serve::{serve_in_memory, ConnPolicy, Limits, MemConn};
 
 const REGRESSIONS: &str = "tests/regressions/prop_http.txt";
 
 fn cfg(name: &str) -> Config {
     Config::new(name).cases(256).regressions(REGRESSIONS)
-}
-
-fn state() -> &'static ServeState {
-    static STATE: OnceLock<ServeState> = OnceLock::new();
-    STATE.get_or_init(|| {
-        let world = World::generate(&GenParams::tiny());
-        let dataset = GovDataset::build(&world, &BuildOptions::default());
-        ServeState::with_mode(&dataset, TimeMode::Deterministic)
-    })
-}
-
-/// Shared `Arc` state for the event-loop properties.
-fn astate() -> Arc<ServeState> {
-    static STATE: OnceLock<Arc<ServeState>> = OnceLock::new();
-    Arc::clone(STATE.get_or_init(|| {
-        let world = World::generate(&GenParams::tiny());
-        let dataset = GovDataset::build(&world, &BuildOptions::default());
-        Arc::new(ServeState::with_mode(&dataset, TimeMode::Deterministic))
-    }))
-}
-
-/// A [`Connection`](govhost_serve::Connection) that yields its input at
-/// most `step` bytes per read — the adversarial chunking transport.
-struct Trickle {
-    data: Vec<u8>,
-    pos: usize,
-    step: usize,
-    out: Vec<u8>,
-}
-
-impl Trickle {
-    fn new(data: Vec<u8>, step: usize) -> Trickle {
-        Trickle { data, pos: 0, step: step.max(1), out: Vec::new() }
-    }
-}
-
-impl Read for Trickle {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.step.min(buf.len()).min(self.data.len() - self.pos);
-        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
-    }
-}
-
-impl Write for Trickle {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.out.extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
 }
 
 /// Arbitrary bytes, biased toward HTTP-ish characters so the generator
@@ -176,29 +115,10 @@ fn parser_never_panics_on_arbitrary_bytes() {
 }
 
 #[test]
-fn serve_connection_never_panics_on_arbitrary_bytes() {
-    let inputs = arb_bytes().zip(gens::usize_range(1, 9));
-    cfg("serve_connection_never_panics_on_arbitrary_bytes").run(&inputs, |(bytes, chunk)| {
-        let mut conn = Trickle::new(bytes.clone(), *chunk);
-        serve_connection(state(), &mut conn, &Limits::default(), || false)
-            .map_err(|e| format!("in-memory transport errored: {e}"))?;
-        // Whatever came in, anything written out is a whole response.
-        prop_assert!(
-            conn.out.is_empty() || conn.out.starts_with(b"HTTP/1.1 "),
-            "output must start with a status line"
-        );
-        Ok(())
-    });
-}
-
-#[test]
 fn well_formed_pipelines_get_one_response_per_request() {
     let inputs = arb_paths().zip(gens::usize_range(1, 9));
     cfg("well_formed_pipelines_get_one_response_per_request").run(&inputs, |(paths, chunk)| {
-        let mut conn = Trickle::new(pipeline_bytes(paths), *chunk);
-        serve_connection(state(), &mut conn, &Limits::default(), || false)
-            .map_err(|e| format!("in-memory transport errored: {e}"))?;
-        let out = String::from_utf8_lossy(&conn.out).into_owned();
+        let out = String::from_utf8_lossy(&serve(pipeline_bytes(paths), *chunk)).into_owned();
         prop_assert_eq!(
             out.matches("\r\nServer: govhost-serve\r\n").count(),
             paths.len(),
@@ -214,15 +134,10 @@ fn response_bytes_do_not_depend_on_read_chunking() {
     let inputs = arb_paths().zip(gens::usize_range(1, 9));
     cfg("response_bytes_do_not_depend_on_read_chunking").run(&inputs, |(paths, chunk)| {
         let bytes = pipeline_bytes(paths);
-        let mut whole = MemConn::new(bytes.clone());
-        serve_connection(state(), &mut whole, &Limits::default(), || false)
-            .map_err(|e| format!("in-memory transport errored: {e}"))?;
-        let mut trickled = Trickle::new(bytes, *chunk);
-        serve_connection(state(), &mut trickled, &Limits::default(), || false)
-            .map_err(|e| format!("in-memory transport errored: {e}"))?;
+        let whole = serve_in_memory(&state(), &ConnPolicy::default(), MemConn::new(bytes.clone()));
         prop_assert_eq!(
             whole.output(),
-            &trickled.out[..],
+            &serve(bytes, *chunk)[..],
             "framing of reads must not change the response bytes"
         );
         Ok(())
@@ -238,10 +153,7 @@ fn arbitrary_query_strings_never_panic_and_answer_200_or_400() {
         |((route, query), chunk)| {
             let wire =
                 format!("GET {route}?{query} HTTP/1.1\r\nConnection: close\r\n\r\n").into_bytes();
-            let mut conn = Trickle::new(wire, *chunk);
-            serve_connection(state(), &mut conn, &Limits::default(), || false)
-                .map_err(|e| format!("in-memory transport errored: {e}"))?;
-            let out = String::from_utf8_lossy(&conn.out).into_owned();
+            let out = String::from_utf8_lossy(&serve(wire, *chunk)).into_owned();
             prop_assert!(
                 out.starts_with("HTTP/1.1 200 OK") || out.starts_with("HTTP/1.1 400 Bad Request"),
                 "a query is answered 200 or a typed 400, never anything else"
@@ -267,10 +179,7 @@ fn arbitrary_percent_escapes_in_paths_never_panic() {
         let path: String = segs.concat();
         let wire =
             format!("GET /country/{path} HTTP/1.1\r\nConnection: close\r\n\r\n").into_bytes();
-        let mut conn = Trickle::new(wire, *chunk);
-        serve_connection(state(), &mut conn, &Limits::default(), || false)
-            .map_err(|e| format!("in-memory transport errored: {e}"))?;
-        let out = String::from_utf8_lossy(&conn.out).into_owned();
+        let out = String::from_utf8_lossy(&serve(wire, *chunk)).into_owned();
         prop_assert!(
             out.starts_with("HTTP/1.1 200 OK")
                 || out.starts_with("HTTP/1.1 400 Bad Request")
@@ -286,89 +195,14 @@ fn arbitrary_percent_escapes_in_paths_never_panic() {
     });
 }
 
-// ---- event-loop properties ----
-
-/// A [`Trickle`] whose output lands in a shared buffer, so the bytes
-/// survive the [`EventLoop`] consuming (and dropping) the connection.
-struct LoopTrickle {
-    inner: Trickle,
-    out: Arc<Mutex<Vec<u8>>>,
-}
-
-impl LoopTrickle {
-    fn new(data: Vec<u8>, step: usize) -> (LoopTrickle, Arc<Mutex<Vec<u8>>>) {
-        let out = Arc::new(Mutex::new(Vec::new()));
-        (LoopTrickle { inner: Trickle::new(data, step), out: Arc::clone(&out) }, out)
-    }
-}
-
-impl Read for LoopTrickle {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.inner.read(buf)
-    }
-}
-
-impl Write for LoopTrickle {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.out.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Run `bytes` through a fresh deterministic event loop, trickling at
-/// most `step` bytes per read, and return everything the server wrote.
-fn event_loop_serve(bytes: Vec<u8>, step: usize) -> Result<Vec<u8>, String> {
-    let mut el = EventLoop::new(
-        astate(),
-        Box::new(FakeReadiness::always()),
-        Arc::new(FakeClock::new()),
-        ConnPolicy::default(),
-        Arc::new(AtomicBool::new(false)),
-    );
-    let (conn, out) = LoopTrickle::new(bytes, step);
-    el.register(Box::new(conn), None);
-    let mut turns = 0usize;
-    while !el.is_empty() {
-        el.turn(Some(Duration::from_millis(1))).map_err(|e| format!("turn errored: {e}"))?;
-        turns += 1;
-        if turns > 10_000 {
-            return Err("event loop did not converge".to_string());
-        }
-    }
-    let out = out.lock().unwrap().clone();
-    Ok(out)
-}
-
 #[test]
 fn event_loop_never_panics_on_arbitrary_bytes() {
     let inputs = arb_bytes().zip(gens::usize_range(1, 9));
     cfg("event_loop_never_panics_on_arbitrary_bytes").run(&inputs, |(bytes, chunk)| {
-        let out = event_loop_serve(bytes.clone(), *chunk)?;
+        let out = serve(bytes.clone(), *chunk);
         prop_assert!(
             out.is_empty() || out.starts_with(b"HTTP/1.1 "),
             "output must start with a status line"
-        );
-        Ok(())
-    });
-}
-
-#[test]
-fn event_loop_bytes_match_the_blocking_loop() {
-    let inputs = arb_paths().zip(gens::usize_range(1, 9));
-    cfg("event_loop_bytes_match_the_blocking_loop").run(&inputs, |(paths, chunk)| {
-        let bytes = pipeline_bytes(paths);
-        let mut blocking = MemConn::new(bytes.clone());
-        serve_connection(state(), &mut blocking, &Limits::default(), || false)
-            .map_err(|e| format!("in-memory transport errored: {e}"))?;
-        let evented = event_loop_serve(bytes, *chunk)?;
-        prop_assert_eq!(
-            blocking.output(),
-            &evented[..],
-            "the readiness loop and the blocking loop share one wire format"
         );
         Ok(())
     });
@@ -392,9 +226,8 @@ fn response_bytes_do_not_depend_on_connection_packing() {
     cfg("response_bytes_do_not_depend_on_connection_packing").run(
         &inputs,
         |((paths, splits), chunk)| {
-            let mut one_conn = MemConn::new(pipeline_bytes(paths));
-            serve_connection(state(), &mut one_conn, &Limits::default(), || false)
-                .map_err(|e| format!("in-memory transport errored: {e}"))?;
+            let one_conn = MemConn::new(pipeline_bytes(paths));
+            let one_conn = serve_in_memory(&state(), &ConnPolicy::default(), one_conn);
 
             let mut groups: Vec<Vec<&str>> = vec![vec![paths[0]]];
             for (i, path) in paths.iter().enumerate().skip(1) {
@@ -405,10 +238,7 @@ fn response_bytes_do_not_depend_on_connection_packing() {
             }
             let mut packed = Vec::new();
             for group in &groups {
-                let mut conn = Trickle::new(pipeline_bytes(group), *chunk);
-                serve_connection(state(), &mut conn, &Limits::default(), || false)
-                    .map_err(|e| format!("in-memory transport errored: {e}"))?;
-                packed.extend_from_slice(&conn.out);
+                packed.extend_from_slice(&serve(pipeline_bytes(group), *chunk));
             }
             prop_assert_eq!(
                 strip_connection_lines(one_conn.output()),

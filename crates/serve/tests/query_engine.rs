@@ -8,22 +8,26 @@
 use govhost_core::prelude::*;
 use govhost_obs::TimeMode;
 use govhost_serve::{
-    serve_connection, Limits, MemConn, Pool, QueryIndex, RouteQuery, ServeState,
+    serve_in_memory, ConnPolicy, MemConn, Pool, QueryIndex, RouteQuery, ServeState, ServerConfig,
+    DEFAULT_RESULT_CACHE,
 };
 use govhost_worldgen::prelude::*;
 use std::sync::Arc;
 
-fn fresh_state() -> (GovDataset, ServeState) {
+fn state_with_cache(dataset: &GovDataset, capacity: usize) -> Arc<ServeState> {
+    Arc::new(ServeState::with_config(dataset, TimeMode::Deterministic, capacity))
+}
+
+fn fresh_state() -> (GovDataset, Arc<ServeState>) {
     let world = World::generate(&GenParams::tiny());
     let dataset = GovDataset::build(&world, &BuildOptions::default());
-    let state = ServeState::with_mode(&dataset, TimeMode::Deterministic);
+    let state = state_with_cache(&dataset, DEFAULT_RESULT_CACHE);
     (dataset, state)
 }
 
-fn get(state: &ServeState, target: &str) -> String {
+fn get(state: &Arc<ServeState>, target: &str) -> String {
     let raw = format!("GET {target} HTTP/1.1\r\nConnection: close\r\n\r\n");
-    let mut conn = MemConn::new(raw.into_bytes());
-    serve_connection(state, &mut conn, &Limits::default(), || false).expect("in-memory serve");
+    let conn = serve_in_memory(state, &ConnPolicy::default(), MemConn::new(raw.into_bytes()));
     String::from_utf8_lossy(conn.output()).into_owned()
 }
 
@@ -31,7 +35,7 @@ fn etag_of(out: &str) -> &str {
     out.lines().find_map(|l| l.strip_prefix("ETag: ")).expect("response carries an ETag")
 }
 
-fn metrics_count(state: &ServeState, needle: &str) -> u64 {
+fn metrics_count(state: &Arc<ServeState>, needle: &str) -> u64 {
     let metrics = get(state, "/metrics");
     let (_, body) = metrics.split_once("\r\n\r\n").expect("metrics body");
     body.lines()
@@ -93,7 +97,7 @@ fn typed_400s_name_the_offending_parameter() {
 fn eviction_is_deterministic_lru_and_counted() {
     let world = World::generate(&GenParams::tiny());
     let dataset = GovDataset::build(&world, &BuildOptions::default());
-    let state = ServeState::with_config(&dataset, TimeMode::Deterministic, 2);
+    let state = state_with_cache(&dataset, 2);
     let q1 = get(&state, "/flows?limit=1");
     let _q2 = get(&state, "/flows?limit=2");
     let _q3 = get(&state, "/flows?limit=3"); // evicts limit=1 (LRU)
@@ -105,7 +109,7 @@ fn eviction_is_deterministic_lru_and_counted() {
     assert_eq!(metrics_count(&state, "http_query_cache{outcome=\"eviction\"} "), 2);
     assert_eq!(state.result_cache().len(), 2, "capacity holds");
     // And a zero capacity disables caching entirely without changing bytes.
-    let uncached = ServeState::with_config(&dataset, TimeMode::Deterministic, 0);
+    let uncached = state_with_cache(&dataset, 0);
     assert_eq!(get(&uncached, "/flows?limit=1"), q1);
     assert!(uncached.result_cache().is_empty());
 }
@@ -134,7 +138,7 @@ fn swap_mix(dataset: &GovDataset) -> Vec<String> {
 /// Serve the mix through a real `threads`-worker pool, one sequential
 /// client, returning the full response bytes per target.
 fn pool_responses(state: &Arc<ServeState>, targets: &[String], threads: usize) -> Vec<Vec<u8>> {
-    let pool = Pool::start(Arc::clone(state), threads, Limits::default());
+    let pool = Pool::start(Arc::clone(state), ServerConfig { threads, ..ServerConfig::default() });
     let mut out = Vec::new();
     for target in targets {
         let raw = format!("GET {target} HTTP/1.1\r\nConnection: close\r\n\r\n");
@@ -151,7 +155,7 @@ fn identical_input_swap_leaves_every_route_byte_identical() {
     let world = World::generate(&GenParams::tiny());
     for threads in [1usize, 2, 4] {
         let dataset = GovDataset::build(&world, &BuildOptions { threads, ..Default::default() });
-        let state = Arc::new(ServeState::with_mode(&dataset, TimeMode::Deterministic));
+        let state = state_with_cache(&dataset, DEFAULT_RESULT_CACHE);
         let targets = swap_mix(&dataset);
         let before = pool_responses(&state, &targets, threads);
         assert!(!state.result_cache().is_empty(), "the mix populated the cache");
@@ -203,11 +207,12 @@ fn history_routes_are_byte_identical_across_worker_counts() {
     let targets = history_mix(&outcome.dataset);
     let mut base: Option<Vec<Vec<u8>>> = None;
     for threads in [1usize, 2, 4] {
-        let state = Arc::new(ServeState::with_timeline_config(
+        let index = QueryIndex::with_timeline(&outcome.dataset, &outcome.timeline);
+        let state = Arc::new(ServeState::with_index(
             &outcome.dataset,
-            &outcome.timeline,
+            index,
             TimeMode::Deterministic,
-            govhost_serve::DEFAULT_RESULT_CACHE,
+            DEFAULT_RESULT_CACHE,
         ));
         let responses = pool_responses(&state, &targets, threads);
         for (target, out) in targets.iter().zip(&responses) {

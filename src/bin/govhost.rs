@@ -288,42 +288,43 @@ fn cmd_har(flags: &Flags) {
 }
 
 fn cmd_serve(flags: &Flags) {
-    use govhost::serve::{resolve_serve_threads, ServeState, Server, ServerConfig, ROUTES};
-    eprintln!("generating world (seed {}, scale {})...", flags.seed, flags.scale);
-    let mut world = World::generate(&params(flags));
-    // `--years N` runs the longitudinal ticks up front and serves the
-    // evolved world's final dataset with the full multi-year timeline
-    // behind the history routes; without it those routes answer the
-    // single year-0 snapshot.
-    let state = if flags.years > 0 {
-        eprintln!("evolving {} years...", flags.years);
-        let outcome =
-            govhost::core::evolve::evolve(&mut world, flags.years, &BuildOptions::default())
+    use govhost::serve::{
+        resolve_serve_threads, QueryIndex, ScenarioIndex, ServeState, Server, ServerConfig, ROUTES,
+    };
+    // `--scenario FILE` evaluates the what-if file first, against the
+    // same year-0 parameters, keeping only the prerendered slabs behind
+    // `/scenario/{name}[/diff]`.
+    let scenarios = if flags.scenario.as_os_str().is_empty() {
+        ScenarioIndex::default()
+    } else {
+        let scenarios = ScenarioIndex::build(&load_scenarios(&flags.scenario, flags));
+        eprintln!("scenarios: {}", scenarios.names().collect::<Vec<_>>().join(" "));
+        scenarios
+    };
+    let state = {
+        eprintln!("generating world (seed {}, scale {})...", flags.seed, flags.scale);
+        let mut world = World::generate(&params(flags));
+        // `--years N` runs the longitudinal ticks up front and serves the
+        // evolved world's final dataset with the full multi-year timeline
+        // behind the history routes; without it those routes answer the
+        // single year-0 snapshot.
+        let (dataset, index) = if flags.years > 0 {
+            eprintln!("evolving {} years...", flags.years);
+            let outcome =
+                govhost::core::evolve::evolve(&mut world, flags.years, &BuildOptions::default())
+                    .unwrap_or_else(|e| die(&e.to_string()));
+            let index = QueryIndex::with_timeline(&outcome.dataset, &outcome.timeline);
+            (outcome.dataset, index)
+        } else {
+            let (dataset, _report) = GovDataset::try_build(&world, &BuildOptions::default())
                 .unwrap_or_else(|e| die(&e.to_string()));
-        ServeState::with_timeline_cache_capacity(
-            &outcome.dataset,
-            &outcome.timeline,
-            flags.query_cache,
-        )
-    } else {
-        let (dataset, _report) = GovDataset::try_build(&world, &BuildOptions::default())
-            .unwrap_or_else(|e| die(&e.to_string()));
-        ServeState::with_cache_capacity(&dataset, flags.query_cache)
+            let index = QueryIndex::build(&dataset);
+            (dataset, index)
+        };
+        let mode = govhost::obs::export::trace_level().time_mode();
+        let index = index.with_scenarios(scenarios);
+        std::sync::Arc::new(ServeState::with_index(&dataset, index, mode, flags.query_cache))
     };
-    // `--scenario FILE` evaluates the what-if file against the same
-    // year-0 parameters and prerenders `/scenario/{name}[/diff]`.
-    let state = if flags.scenario.as_os_str().is_empty() {
-        state
-    } else {
-        let runs = load_scenarios(&flags.scenario, flags);
-        let index = govhost::serve::ScenarioIndex::build(&runs);
-        eprintln!(
-            "scenarios: {}",
-            index.names().collect::<Vec<_>>().join(" ")
-        );
-        state.with_scenarios(index)
-    };
-    let state = std::sync::Arc::new(state);
     let threads =
         if flags.threads > 0 { flags.threads } else { resolve_serve_threads() };
     let mut config = ServerConfig { threads, ..ServerConfig::default() };
@@ -331,9 +332,9 @@ fn cmd_serve(flags: &Flags) {
         config.max_conns = flags.max_conns;
     }
     if flags.idle_timeout_ms > 0 {
-        config.idle_timeout = std::time::Duration::from_millis(flags.idle_timeout_ms);
+        config.policy.idle_timeout = std::time::Duration::from_millis(flags.idle_timeout_ms);
     }
-    let (max_conns, idle) = (config.max_conns, config.idle_timeout);
+    let (max_conns, idle) = (config.max_conns, config.policy.idle_timeout);
     let server = Server::bind(state, flags.addr.as_str(), config)
         .unwrap_or_else(|e| die(&format!("bind {}: {e}", flags.addr)));
     println!(

@@ -21,7 +21,10 @@ use govhost::scenario::{
     diff, insights_for, parse, run_file, run_scenario, BuildMetrics, InsightContext,
     ScenarioRun, Winner,
 };
-use govhost::serve::{serve_connection, Limits, MemConn, ScenarioIndex, ServeState};
+use govhost::serve::{
+    serve_in_memory, ConnPolicy, MemConn, QueryIndex, ScenarioIndex, ServeState,
+    DEFAULT_RESULT_CACHE,
+};
 
 fn options(threads: usize) -> BuildOptions {
     BuildOptions { threads, ..BuildOptions::default() }
@@ -105,15 +108,19 @@ fn provider_outage_reports_ns_only_cascade_dark_fractions() {
 fn scenario_responses(runs: &[ScenarioRun]) -> Vec<Vec<u8>> {
     let world = World::generate(&GenParams::tiny());
     let dataset = GovDataset::build(&world, &BuildOptions::default());
-    let index = ScenarioIndex::build(runs);
-    let state = ServeState::with_mode(&dataset, TimeMode::Deterministic).with_scenarios(index);
+    let index = QueryIndex::build(&dataset).with_scenarios(ScenarioIndex::build(runs));
+    let state = std::sync::Arc::new(ServeState::with_index(
+        &dataset,
+        index,
+        TimeMode::Deterministic,
+        DEFAULT_RESULT_CACHE,
+    ));
     let mut out = Vec::new();
     for run in runs {
         for route in [format!("/scenario/{}", run.name), format!("/scenario/{}/diff", run.name)]
         {
             let raw = format!("GET {route} HTTP/1.1\r\nConnection: close\r\n\r\n");
-            let mut conn = MemConn::new(raw.into_bytes());
-            serve_connection(&state, &mut conn, &Limits::default(), || false).expect("serves");
+            let conn = serve_in_memory(&state, &ConnPolicy::default(), MemConn::new(raw));
             assert!(
                 conn.output().starts_with(b"HTTP/1.1 200 OK"),
                 "{route} answers 200"

@@ -12,13 +12,17 @@
 use govhost::obs::TimeMode;
 use govhost::prelude::*;
 use govhost::serve::{
-    ConnPolicy, EventLoop, FakeClock, FakeReadiness, Limits, MemConn, Pool, ServeState, Server,
-    ServerConfig,
+    ConnPolicy, EventLoop, FakeClock, FakeReadiness, MemConn, Pool, ServeState, Server,
+    ServerConfig, DEFAULT_RESULT_CACHE,
 };
 use std::io::{Read as _, Write as _};
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+fn serve_state(dataset: &GovDataset) -> Arc<ServeState> {
+    Arc::new(ServeState::with_config(dataset, TimeMode::Deterministic, DEFAULT_RESULT_CACHE))
+}
 
 /// Every route the server exposes, in a fixed request order, as
 /// `(label, raw request bytes)`. A conditional `/hhi` revalidation
@@ -73,9 +77,9 @@ fn request_sequence(dataset: &GovDataset, state: &ServeState) -> Vec<(String, Ve
 /// issued by a single sequential client.
 fn responses_at(world: &World, threads: usize) -> Vec<Vec<u8>> {
     let dataset = GovDataset::build(world, &BuildOptions { threads, ..Default::default() });
-    let state = Arc::new(ServeState::with_mode(&dataset, TimeMode::Deterministic));
+    let state = serve_state(&dataset);
     let wires = request_sequence(&dataset, &state);
-    let pool = Pool::start(state, threads, Limits::default());
+    let pool = Pool::start(state, ServerConfig { threads, ..ServerConfig::default() });
     let mut responses = Vec::new();
     for (_, raw) in &wires {
         let (conn, rx) = MemConn::scripted(raw.clone());
@@ -91,7 +95,7 @@ fn responses_are_byte_identical_across_thread_counts() {
     let world = World::generate(&GenParams::tiny());
     let labels: Vec<String> = {
         let ds = GovDataset::build(&world, &BuildOptions::default());
-        let state = ServeState::with_mode(&ds, TimeMode::Deterministic);
+        let state = serve_state(&ds);
         request_sequence(&ds, &state).into_iter().map(|(label, _)| label).collect()
     };
     let baseline = responses_at(&world, 1);
@@ -214,7 +218,7 @@ impl std::io::Write for Normal {
 fn a_slow_reader_cannot_stall_other_connections() {
     let world = World::generate(&GenParams::tiny());
     let dataset = GovDataset::build(&world, &BuildOptions::default());
-    let state = Arc::new(ServeState::with_mode(&dataset, TimeMode::Deterministic));
+    let state = serve_state(&dataset);
     let policy = ConnPolicy { max_pending_out: 4096, ..ConnPolicy::default() };
     let mut el = EventLoop::new(
         Arc::clone(&state),
@@ -246,7 +250,7 @@ fn a_slow_reader_cannot_stall_other_connections() {
 fn loopback_smoke_answers_real_sockets() {
     let world = World::generate(&GenParams::tiny());
     let dataset = GovDataset::build(&world, &BuildOptions::default());
-    let state = Arc::new(ServeState::with_mode(&dataset, TimeMode::Deterministic));
+    let state = serve_state(&dataset);
     let config = ServerConfig { threads: 2, ..ServerConfig::default() };
     let server = match Server::bind(state, "127.0.0.1:0", config) {
         Ok(server) => server,
@@ -287,7 +291,7 @@ fn loopback_smoke_answers_real_sockets() {
 fn loopback_shed_delivers_a_complete_503() {
     let world = World::generate(&GenParams::tiny());
     let dataset = GovDataset::build(&world, &BuildOptions::default());
-    let state = Arc::new(ServeState::with_mode(&dataset, TimeMode::Deterministic));
+    let state = serve_state(&dataset);
     let config = ServerConfig { threads: 1, max_conns: 1, ..ServerConfig::default() };
     let server = match Server::bind(state, "127.0.0.1:0", config) {
         Ok(server) => server,

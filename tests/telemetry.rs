@@ -57,13 +57,18 @@ fn telemetry_exports_are_stable_across_runs() {
 /// functions of the sequence).
 #[test]
 fn serve_telemetry_is_byte_identical_across_worker_counts() {
-    use govhost::serve::{Limits, MemConn, Pool, ServeState};
+    use govhost::serve::{MemConn, Pool, ServeState, ServerConfig, DEFAULT_RESULT_CACHE};
     use std::sync::Arc;
     let world = World::generate(&GenParams::tiny());
     let dataset = GovDataset::build(&world, &BuildOptions::default());
     let snapshot_at = |workers: usize| -> String {
-        let state = Arc::new(ServeState::with_mode(&dataset, TimeMode::Deterministic));
-        let pool = Pool::start(Arc::clone(&state), workers, Limits::default());
+        let state = Arc::new(ServeState::with_config(
+            &dataset,
+            TimeMode::Deterministic,
+            DEFAULT_RESULT_CACHE,
+        ));
+        let config = ServerConfig { threads: workers, ..ServerConfig::default() };
+        let pool = Pool::start(Arc::clone(&state), config);
         for route in ["/healthz", "/countries", "/hhi", "/nope"] {
             let raw = format!("GET {route} HTTP/1.1\r\nConnection: close\r\n\r\n");
             let (conn, rx) = MemConn::scripted(raw.into_bytes());
