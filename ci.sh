@@ -93,6 +93,22 @@ cargo test -q --offline -p govhost-scenario
 cargo test -q --offline -p govhost-scenario --test prop_dsl
 cargo test -q --offline --test scenario
 
+# Archive gate: the committed scale-0.3 artifacts and stdout transcript
+# must be exactly what the current code writes. Regeneration is
+# deterministic and thread-count independent (~1.5 s); GOVHOST_TRACE is
+# unset so trace.json and metrics.json are written at their default
+# level. To refresh after an intended change:
+#   cargo run --release --offline -p govhost-bench --bin repro -- \
+#     --scale 0.3 --out results/artifacts_scale0.3 > results/repro_scale0.3.txt
+echo "==> scale-0.3 archive gate"
+archive=$(mktemp -d)
+env -u GOVHOST_TRACE cargo run -q --release --offline -p govhost-bench --bin repro -- \
+    --scale 0.3 --out "$archive/artifacts" > "$archive/stdout.txt" 2> "$archive/stderr.txt" \
+    || { cat "$archive/stderr.txt" >&2; exit 1; }
+diff -r "$archive/artifacts" results/artifacts_scale0.3
+diff "$archive/stdout.txt" results/repro_scale0.3.txt
+rm -rf "$archive"
+
 # The benchmark harness is its own cargo workspace, so the workspace
 # passes above never compile it: build and unit-test it here, so an
 # API change it depends on fails CI instead of the benchmark run.

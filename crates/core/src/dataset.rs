@@ -39,12 +39,19 @@
 //! `fetch`/`har`/`dns_resolve` below) and country-labelled counters into
 //! a private shard that rides back inside its job result; the merge loop
 //! grafts shards below the `build` span **in fixed country order**, so
-//! the capture — like the dataset — is independent of scheduling. The
-//! capture is the single source of truth for instrumentation:
-//! [`StageTimings`] and the derived [`BuildReport`] counters are both
-//! read back from it (`try_build` cross-checks them against the merge
-//! loop's own sums), and [`GovDataset::telemetry`] hands the full tree
-//! to the export layer (`results/trace.json`, `results/metrics.json`).
+//! the capture — like the dataset — is independent of scheduling.
+//! [`StageTimings`] is read back from the capture, every build
+//! cross-checks the registry's counters against the merge loop's own
+//! sums (from which the [`BuildReport`] is derived), and
+//! [`GovDataset::telemetry`] hands the full tree to the export layer
+//! (`results/trace.json`, `results/metrics.json`).
+//!
+//! ## One build body
+//!
+//! [`GovDataset::rebuild_incremental`] is the only build body:
+//! [`GovDataset::try_build`] and [`GovDataset::build_cached`] call it
+//! with an empty [`BuildCache`], which makes every contributing country
+//! dirty.
 
 use crate::classify::{ClassificationMethod, SeedSets};
 use crate::infra::{InfraIdentifier, InfraRecord};
@@ -56,7 +63,7 @@ use govhost_types::{
 };
 use govhost_web::crawler::{Crawler, FailureCauses};
 use govhost_worldgen::World;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 /// Options for [`GovDataset::build`].
@@ -371,22 +378,6 @@ pub struct GovDataset {
     pub telemetry: govhost_obs::Telemetry,
 }
 
-/// What [`GovDataset::build_traced`] hands back to `try_build`: the
-/// merged dataset pieces plus the merge loop's own tallies, kept solely
-/// to cross-check the registry-derived [`BuildReport`].
-struct TracedBuild {
-    hosts: Vec<HostRecord>,
-    urls: UrlTable,
-    host_ids: HostInterner,
-    validation: ValidationStats,
-    method_counts: [u64; 3],
-    crawl_failures: u32,
-    failure_causes: FailureCauses,
-    resolution_failures: u64,
-    per_country: HashMap<CountryCode, CountryStats>,
-    quarantined: Vec<QuarantineEntry>,
-}
-
 /// Landing pages per crawl/classify job. Small enough that a country
 /// with many landing pages splits into several stealable jobs; large
 /// enough that the per-job interning overhead stays negligible.
@@ -544,19 +535,6 @@ struct CountryWork {
     shards: CountryShards,
 }
 
-/// What the assembly replay produces from a set of entries.
-struct Assembled {
-    hosts: Vec<HostRecord>,
-    urls: UrlTable,
-    host_ids: HostInterner,
-    validation: ValidationStats,
-    method_counts: [u64; 3],
-    crawl_failures: u32,
-    failure_causes: FailureCauses,
-    resolution_failures: u64,
-    per_country: HashMap<CountryCode, CountryStats>,
-}
-
 /// Per-country build state retained by [`GovDataset::build_cached`] so a
 /// later [`GovDataset::rebuild_incremental`] can replay clean countries
 /// instead of re-crawling them.
@@ -674,49 +652,52 @@ impl GovDataset {
         world: &World,
         options: &BuildOptions,
     ) -> Result<(GovDataset, BuildReport), BuildError> {
-        let (result, telemetry) = govhost_obs::collect(|| Self::build_traced(world, options));
-        let traced = result?;
-        Ok(Self::finish_checked(traced, telemetry))
+        Self::build_cached(world, options).map(|(dataset, report, _cache)| (dataset, report))
     }
 
     /// [`Self::try_build`] that additionally returns the [`BuildCache`]
     /// needed for [`Self::rebuild_incremental`].
     ///
-    /// The dataset and report are bit-identical to what `try_build`
-    /// produces for the same world and options; the cache is the same
+    /// This is [`Self::rebuild_incremental`] from an empty cache, which
+    /// makes every contributing country dirty: the cache is the
     /// per-country state the build computed anyway, retained instead of
     /// dropped.
     pub fn build_cached(
         world: &World,
         options: &BuildOptions,
     ) -> Result<(GovDataset, BuildReport, BuildCache), BuildError> {
-        let (result, telemetry) =
-            govhost_obs::collect(|| Self::build_traced_keep(world, options));
-        let (traced, entries) = result?;
-        let quarantined = traced.quarantined.clone();
-        let (dataset, report) = Self::finish_checked(traced, telemetry);
-        Ok((dataset, report, BuildCache { entries, quarantined }))
+        let mut cache = BuildCache::default();
+        let (dataset, report) =
+            Self::rebuild_incremental(world, options, &mut cache, &BTreeSet::new())?;
+        Ok((dataset, report, cache))
     }
 
-    /// Rebuild after a world mutation, recomputing only `dirty` countries.
+    /// The one build body: rebuild after a world mutation, recomputing
+    /// only `dirty` countries. Every other build entry point is this
+    /// function with an empty cache.
     ///
     /// `cache` must come from [`Self::build_cached`] (or a previous
     /// incremental rebuild) against the same world lineage, and `dirty`
     /// must cover every country whose observable surfaces changed since —
-    /// a tick's `TickReport::dirty` is exactly that set. Clean countries
-    /// are *replayed* from their cached entries; dirty ones re-run the
-    /// full per-country fan-out (crawl → classify → identify). The global
-    /// merge, §5.1 category assignment and §3.5 geolocation always run in
-    /// full, so the resulting dataset — down to `export_csv` bytes — is
-    /// identical to a from-scratch [`Self::try_build`] against the
-    /// mutated world (`tests/evolve.rs` pins this).
+    /// a tick's `TickReport::dirty` is exactly that set. A contributing
+    /// country the cache has no record of is recomputed as well. Clean
+    /// countries are *replayed* from their cached entries; dirty ones
+    /// re-run the full per-country fan-out (crawl → classify →
+    /// identify). The global merge, §5.1 category assignment and §3.5
+    /// geolocation always run in full, so the resulting dataset — down to
+    /// `export_csv` bytes — and its [`BuildReport`] are identical to a
+    /// from-scratch [`Self::try_build`] against the mutated world
+    /// (`tests/evolve.rs` and `crates/core/tests/prop_incremental.rs` pin
+    /// this).
     ///
-    /// Telemetry is the one documented divergence: spans and counters are
-    /// only emitted for the countries that actually recomputed, so
-    /// [`GovDataset::timings`] and [`GovDataset::telemetry`] describe the
-    /// incremental work, not a full build — which is also why this path
-    /// derives its [`BuildReport`] from the merge sums instead of the
-    /// registry cross-checks `try_build` uses.
+    /// Telemetry describes only the work this call did: spans and the
+    /// crawl/classify/identify counters are emitted for recomputed
+    /// countries only, so on a partial rebuild [`GovDataset::timings`]
+    /// and [`GovDataset::telemetry`] describe the incremental work, not a
+    /// full build. The report is always derived from the merge sums, and
+    /// the registry is cross-checked against them on every call: the
+    /// geolocation counters against the full tables, the crawl, identify
+    /// and analyze counters against the recomputed countries.
     ///
     /// On success the cache is updated in place to describe the rebuilt
     /// dataset; on error it is left untouched.
@@ -724,29 +705,24 @@ impl GovDataset {
         world: &World,
         options: &BuildOptions,
         cache: &mut BuildCache,
-        dirty: &std::collections::BTreeSet<CountryCode>,
+        dirty: &BTreeSet<CountryCode>,
     ) -> Result<(GovDataset, BuildReport), BuildError> {
+        // Recompute set: the dirty countries, plus any contributing
+        // country the cache has no record of (neither an entry nor a
+        // quarantine) — every country, from an empty cache.
+        let cached: HashSet<CountryCode> = cache.entries.iter().map(|e| e.code).collect();
+        let skipped: HashSet<CountryCode> = cache.quarantined.iter().map(|q| q.country).collect();
+        let mut recompute: BTreeSet<CountryCode> = dirty.clone();
+        for row in world.studied_countries() {
+            let code = row.cc();
+            let unrecorded = !cached.contains(&code) && !skipped.contains(&code);
+            if unrecorded && !world.landing(code).is_empty() {
+                recompute.insert(code);
+            }
+        }
         let (result, telemetry) = govhost_obs::collect(|| -> Result<_, BuildError> {
             let _build = govhost_obs::span!("build");
-            // Recompute set: the dirty countries, plus any contributing
-            // country the cache has no record of (neither an entry nor a
-            // quarantine) — defensive completeness for caches built
-            // against older worlds.
-            let cached: HashSet<CountryCode> = cache.entries.iter().map(|e| e.code).collect();
-            let skipped: HashSet<CountryCode> =
-                cache.quarantined.iter().map(|q| q.country).collect();
-            let mut recompute: std::collections::BTreeSet<CountryCode> = dirty.clone();
-            for row in world.studied_countries() {
-                let code = row.cc();
-                if !world.landing(code).is_empty()
-                    && !cached.contains(&code)
-                    && !skipped.contains(&code)
-                {
-                    recompute.insert(code);
-                }
-            }
-            let (works, new_quarantines) =
-                Self::compute_countries(world, options, Some(&recompute))?;
+            let (works, new_quarantines) = Self::compute_countries(world, options, &recompute)?;
             // Splice: fresh entries replace stale ones, everything else
             // replays from cache, in fixed studied-country order.
             let mut fresh: HashMap<CountryCode, CountryWork> =
@@ -762,9 +738,7 @@ impl GovDataset {
                     if let Some(work) = fresh.remove(&code) {
                         entries.push(work.entry);
                         shards.push(Some(work.shards));
-                    } else if let Some(q) =
-                        new_quarantines.iter().find(|q| q.country == code)
-                    {
+                    } else if let Some(q) = new_quarantines.iter().find(|q| q.country == code) {
                         quarantined.push(q.clone());
                     }
                 } else if let Some(entry) = old.remove(&code) {
@@ -774,154 +748,90 @@ impl GovDataset {
                     quarantined.push(q.clone());
                 }
             }
-            let asm = Self::assemble(world, options, &entries, shards);
+            let (dataset, mut report) = Self::assemble(world, options, &entries, shards);
+            report.quarantined = quarantined.clone();
             cache.entries = entries;
-            cache.quarantined = quarantined.clone();
-            Ok((asm, quarantined))
+            cache.quarantined = quarantined;
+            Ok((dataset, report))
         });
-        let (asm, quarantined) = result?;
-        let report = BuildReport {
-            quarantined,
-            crawl_failures: asm.failure_causes,
-            resolution_failures: asm.resolution_failures,
-            geo_excluded: asm.validation.unicast[2] + asm.validation.anycast[2],
-            geo_conflicts: asm.validation.conflicts,
-        };
-        let timings = StageTimings::from_telemetry(&telemetry);
-        let dataset = GovDataset {
-            hosts: asm.hosts,
-            urls: asm.urls,
-            host_ids: asm.host_ids,
-            validation: asm.validation,
-            method_counts: asm.method_counts,
-            crawl_failures: asm.crawl_failures,
-            per_country: asm.per_country,
-            timings,
-            telemetry,
-        };
+        let (mut dataset, report) = result?;
+        let fresh: Vec<&CountryEntry> =
+            cache.entries.iter().filter(|e| recompute.contains(&e.code)).collect();
+        Self::check_registry(&telemetry, &dataset, &report, &fresh);
+        dataset.timings = StageTimings::from_telemetry(&telemetry);
+        dataset.telemetry = telemetry;
         Ok((dataset, report))
     }
 
-    /// The post-build half of [`Self::try_build`]: project the report
-    /// from the telemetry registry and cross-check it against the merge
-    /// loop's own sums.
-    fn finish_checked(
-        traced: TracedBuild,
-        telemetry: govhost_obs::Telemetry,
-    ) -> (GovDataset, BuildReport) {
-        // The telemetry capture is the single source of truth for the
-        // instrumentation view: both the stage table and the report
-        // counters are projections of the registry. The merge loop's own
-        // sums exist only to cross-check the projection — a mismatch
-        // means an instrumentation bug (a missed counter, a shard that
-        // leaked past quarantine), so fail loudly instead of exporting
-        // numbers that disagree with the dataset.
+    /// Cross-check the telemetry registry against the merge loop's sums.
+    ///
+    /// The capture is the single source of truth for the stage table,
+    /// and the registry's counters must agree with the dataset they
+    /// describe — a mismatch means an instrumentation bug (a missed
+    /// counter, a shard that leaked past quarantine), so fail loudly
+    /// instead of exporting numbers that disagree with the dataset. The
+    /// geolocation counters describe the full tables (geolocation always
+    /// reruns in full); the crawl, identify and analyze counters describe
+    /// the `fresh` countries this call recomputed, which on a full build
+    /// is every country.
+    fn check_registry(
+        telemetry: &govhost_obs::Telemetry,
+        dataset: &GovDataset,
+        report: &BuildReport,
+        fresh: &[&CountryEntry],
+    ) {
         let r = &telemetry.registry;
-        let report = BuildReport {
-            quarantined: traced.quarantined,
-            crawl_failures: FailureCauses {
-                geo_blocked: r.counter_filtered("crawl.fetch_failures", &[("cause", "geo_blocked")])
-                    as u32,
-                not_found: r.counter_filtered("crawl.fetch_failures", &[("cause", "not_found")])
-                    as u32,
-                unknown_host: r
-                    .counter_filtered("crawl.fetch_failures", &[("cause", "unknown_host")])
-                    as u32,
-            },
-            resolution_failures: r.counter_total("identify.resolution_failures"),
-            geo_excluded: r.counter_filtered("geoloc.verdict", &[("method", "unresolved")])
-                as usize,
-            geo_conflicts: r.counter_total("geoloc.conflicts") as usize,
-        };
+        let fetch_failures =
+            |cause: &str| r.counter_filtered("crawl.fetch_failures", &[("cause", cause)]) as u32;
+        let mut fresh_causes = FailureCauses::default();
+        for entry in fresh {
+            fresh_causes.merge(entry.failure_causes);
+        }
         assert_eq!(
-            report.crawl_failures, traced.failure_causes,
+            FailureCauses {
+                geo_blocked: fetch_failures("geo_blocked"),
+                not_found: fetch_failures("not_found"),
+                unknown_host: fetch_failures("unknown_host"),
+            },
+            fresh_causes,
             "registry fetch-failure counters must match the per-country merge"
         );
         assert_eq!(
             report.crawl_failures.total(),
-            traced.crawl_failures,
+            dataset.crawl_failures,
             "fetch-failure causes must sum to the flat crawl-failure count"
         );
         assert_eq!(
-            report.resolution_failures, traced.resolution_failures,
+            r.counter_total("identify.resolution_failures"),
+            fresh.iter().map(|e| e.resolution_failures).sum::<u64>(),
             "registry resolution-failure counter must match the per-country merge"
         );
         assert_eq!(
+            r.counter_filtered("geoloc.verdict", &[("method", "unresolved")]) as usize,
             report.geo_excluded,
-            traced.validation.unicast[2] + traced.validation.anycast[2],
             "unresolved-verdict counter must match the Table-4 UR buckets"
         );
         assert_eq!(
-            report.geo_conflicts, traced.validation.conflicts,
+            r.counter_total("geoloc.conflicts") as usize,
+            report.geo_conflicts,
             "conflict counter must match the validation statistics"
         );
-
-        let timings = StageTimings::from_telemetry(&telemetry);
+        let fresh_codes: HashSet<CountryCode> = fresh.iter().map(|e| e.code).collect();
         assert_eq!(
-            timings.analyze.items,
-            traced.hosts.len() as u64,
-            "analyze.hosts counter must match the merged host records"
+            r.counter_total("analyze.hosts"),
+            dataset.hosts.iter().filter(|h| fresh_codes.contains(&h.country)).count() as u64,
+            "analyze.hosts counter must match the host records of recomputed countries"
         );
-
-        let dataset = GovDataset {
-            hosts: traced.hosts,
-            urls: traced.urls,
-            host_ids: traced.host_ids,
-            validation: traced.validation,
-            method_counts: traced.method_counts,
-            crawl_failures: traced.crawl_failures,
-            per_country: traced.per_country,
-            timings,
-            telemetry,
-        };
-        (dataset, report)
-    }
-
-    /// The traced build body: runs inside the [`govhost_obs::collect`]
-    /// scope opened by [`Self::try_build`], under one `build` span.
-    fn build_traced(world: &World, options: &BuildOptions) -> Result<TracedBuild, BuildError> {
-        Self::build_traced_keep(world, options).map(|(traced, _)| traced)
-    }
-
-    /// [`Self::build_traced`], additionally keeping the per-country
-    /// entries so [`Self::build_cached`] can retain them.
-    fn build_traced_keep(
-        world: &World,
-        options: &BuildOptions,
-    ) -> Result<(TracedBuild, Vec<CountryEntry>), BuildError> {
-        let _build = govhost_obs::span!("build");
-        let (works, quarantined) = Self::compute_countries(world, options, None)?;
-        let mut entries = Vec::with_capacity(works.len());
-        let mut shards = Vec::with_capacity(works.len());
-        for work in works {
-            entries.push(work.entry);
-            shards.push(Some(work.shards));
-        }
-        let asm = Self::assemble(world, options, &entries, shards);
-        let traced = TracedBuild {
-            hosts: asm.hosts,
-            urls: asm.urls,
-            host_ids: asm.host_ids,
-            validation: asm.validation,
-            method_counts: asm.method_counts,
-            crawl_failures: asm.crawl_failures,
-            failure_causes: asm.failure_causes,
-            resolution_failures: asm.resolution_failures,
-            per_country: asm.per_country,
-            quarantined,
-        };
-        Ok((traced, entries))
     }
 
     /// Phases §3.2–§3.4 for a set of countries: the chunked
     /// crawl/classify fan-out, the per-country merge into
-    /// [`CountryEntry`]s, and the identify fan-out. `only` restricts the
-    /// work to a subset of countries (the incremental path); `None`
-    /// computes every contributing country.
+    /// [`CountryEntry`]s, and the identify fan-out, for the contributing
+    /// countries in `only`.
     fn compute_countries(
         world: &World,
         options: &BuildOptions,
-        only: Option<&std::collections::BTreeSet<CountryCode>>,
+        only: &BTreeSet<CountryCode>,
     ) -> Result<(Vec<CountryWork>, Vec<QuarantineEntry>), BuildError> {
         // Prep: per contributing country, the shared crawl/classify
         // context; then the (country, landing-chunk) job list in fixed
@@ -929,7 +839,7 @@ impl GovDataset {
         let mut ctxs: Vec<CountryCtx<'_>> = Vec::new();
         for row in world.studied_countries() {
             let code = row.cc();
-            if only.is_some_and(|set| !set.contains(&code)) {
+            if !only.contains(&code) {
                 continue; // clean country: replayed from cache instead
             }
             let landing = world.landing(code);
@@ -1118,12 +1028,16 @@ impl GovDataset {
     /// span and the merge-side counters are emitted — and `None` for
     /// countries replayed from cache, which emit no telemetry because no
     /// measurement work happened.
+    ///
+    /// Returns the dataset (without its telemetry) and the report derived
+    /// from the merge sums (without its quarantine record, which the
+    /// caller owns).
     fn assemble(
         world: &World,
         options: &BuildOptions,
         entries: &[CountryEntry],
         shards: Vec<Option<CountryShards>>,
-    ) -> Assembled {
+    ) -> (GovDataset, BuildReport) {
         let mut hosts: Vec<HostRecord> = Vec::new();
         let mut host_ids = HostInterner::new();
         let mut urls = UrlTable::new();
@@ -1238,17 +1152,25 @@ impl GovDataset {
             geolocate(world, &mut hosts, options)
         };
 
-        Assembled {
+        let report = BuildReport {
+            quarantined: Vec::new(),
+            crawl_failures: failure_causes,
+            resolution_failures,
+            geo_excluded: validation.unicast[2] + validation.anycast[2],
+            geo_conflicts: validation.conflicts,
+        };
+        let dataset = GovDataset {
             hosts,
             urls,
             host_ids,
             validation,
             method_counts,
             crawl_failures,
-            failure_causes,
-            resolution_failures,
             per_country,
-        }
+            timings: StageTimings::default(),
+            telemetry: govhost_obs::Telemetry::default(),
+        };
+        (dataset, report)
     }
 
 

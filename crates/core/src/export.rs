@@ -256,6 +256,9 @@ pub fn import_csv_full(csv: &DatasetCsv) -> Result<(GovDataset, BuildReport), Im
     let mut urls = UrlTable::new();
     let mut method_counts = [0u64; 3];
     let mut per_country: HashMap<CountryCode, crate::dataset::CountryStats> = HashMap::new();
+    // The analyses sum bytes per country and across the dataset, so the
+    // dataset total (which bounds every country's) must fit a u64.
+    let mut total_bytes = 0u64;
     for (idx, f) in read_records(&csv.urls).iter().enumerate().skip(1) {
         let row = idx + 1;
         if f.len() != 3 {
@@ -283,6 +286,9 @@ pub fn import_csv_full(csv: &DatasetCsv) -> Result<(GovDataset, BuildReport), Im
             ClassificationMethod::San => 2,
         };
         method_counts[midx] += 1;
+        total_bytes = total_bytes.checked_add(bytes).ok_or_else(|| {
+            import_err(row, format!("bytes {bytes} overflow the dataset's byte total"))
+        })?;
         let stats = per_country.entry(record.country).or_default();
         stats.urls += 1;
         stats.bytes += bytes;

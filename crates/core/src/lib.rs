@@ -14,6 +14,7 @@
 //! | [`crossborder`] | §6.3 | dependency flows, Table 5, GDPR, bilateral cases (Fig. 9) |
 //! | [`providers`] | §7.1 | global-provider concentration (Fig. 10) |
 //! | [`diversification`] | §7.2 | HHI analysis (Fig. 11) |
+//! | [`measure`] | §5–§7 | one build reduced to its headline numbers (trends, evolve, what-if) |
 //! | [`topsites`] | App. D | governments-vs-topsites comparison (Figs. 3, 7) |
 //! | [`explain`] | App. E | OLS explanatory model (Fig. 12, Table 7) |
 //!
@@ -33,6 +34,7 @@ pub mod fold;
 pub mod hosting;
 pub mod infra;
 pub mod location;
+pub mod measure;
 pub mod providers;
 pub mod similarity;
 pub mod table;
@@ -48,20 +50,19 @@ pub use dataset::{
 };
 pub use diversification::DiversificationAnalysis;
 pub use evolve::{
-    evolve, evolve_with_systems, CountryYear, EvolveError, EvolveOutcome, ProviderYear,
-    TickSummary, Timeline,
-    YearMetrics,
+    evolve, evolve_with_systems, EvolveError, EvolveOutcome, TickSummary, Timeline, YearMetrics,
 };
 pub use explain::ExplanatoryModel;
 pub use export::{export_csv, export_csv_full, import_csv, import_csv_full, DatasetCsv};
 pub use hosting::{CategoryShares, HostingAnalysis};
 pub use infra::{GovEvidence, InfraIdentifier};
 pub use location::LocationAnalysis;
+pub use measure::{BuildMetrics, CountryMetrics, ProviderMetrics};
 pub use providers::ProviderAnalysis;
 pub use similarity::SimilarityAnalysis;
 pub use table::{UrlInterner, UrlRef, UrlTable};
 pub use topsites::TopsiteAnalysis;
-pub use trends::{SnapshotMetrics, TrendAnalysis};
+pub use trends::{Snapshot, TrendAnalysis};
 
 /// Common imports for downstream users.
 pub mod prelude {

@@ -10,37 +10,25 @@
 //! [`GenParams::third_party_drift`]: govhost_worldgen::GenParams
 
 use crate::dataset::{BuildOptions, GovDataset};
-use crate::diversification::DiversificationAnalysis;
-use crate::hosting::HostingAnalysis;
-use crate::location::LocationAnalysis;
-use crate::providers::ProviderAnalysis;
-use govhost_types::ProviderCategory;
+use crate::measure::BuildMetrics;
 use govhost_worldgen::{GenParams, World};
 
-/// Headline metrics of one snapshot.
+/// One measured snapshot of the sweep.
 #[derive(Debug, Clone)]
-pub struct SnapshotMetrics {
+pub struct Snapshot {
     /// Label (e.g. a year).
     pub label: String,
     /// Drift parameter that produced the snapshot.
     pub drift: f64,
-    /// Third-party URL share (country-averaged, as Fig. 2).
-    pub third_party_urls: f64,
-    /// Third-party byte share.
-    pub third_party_bytes: f64,
-    /// Domestic serving fraction (Fig. 6 lens).
-    pub domestic_serving: f64,
-    /// Governments served by the leading global provider.
-    pub leader_countries: usize,
-    /// Countries whose dominant byte source is Govt&SOE.
-    pub state_led_countries: usize,
+    /// The snapshot's build, measured.
+    pub metrics: BuildMetrics,
 }
 
 /// A longitudinal run over several snapshots.
 #[derive(Debug, Clone)]
 pub struct TrendAnalysis {
     /// Per-snapshot metrics, in input order.
-    pub snapshots: Vec<SnapshotMetrics>,
+    pub snapshots: Vec<Snapshot>,
 }
 
 impl TrendAnalysis {
@@ -55,40 +43,21 @@ impl TrendAnalysis {
                 let params = GenParams { third_party_drift: *drift, ..*base };
                 let world = World::generate(&params);
                 let dataset = GovDataset::build(&world, options);
-                Self::measure(label.clone(), *drift, &dataset)
+                Snapshot {
+                    label: label.clone(),
+                    drift: *drift,
+                    metrics: BuildMetrics::measure(&dataset),
+                }
             })
             .collect();
         TrendAnalysis { snapshots }
-    }
-
-    /// Measure one already-built dataset.
-    pub fn measure(label: String, drift: f64, dataset: &GovDataset) -> SnapshotMetrics {
-        let hosting = HostingAnalysis::compute(dataset);
-        let mean = hosting.global_country_mean();
-        let location = LocationAnalysis::compute(dataset);
-        let providers = ProviderAnalysis::compute(dataset);
-        let diversification = DiversificationAnalysis::compute(dataset, &hosting);
-        let state_led = diversification
-            .per_country
-            .values()
-            .filter(|c| c.dominant == ProviderCategory::GovtSoe)
-            .count();
-        SnapshotMetrics {
-            label,
-            drift,
-            third_party_urls: mean.third_party_urls(),
-            third_party_bytes: mean.third_party_bytes(),
-            domestic_serving: location.geolocation.domestic_fraction(),
-            leader_countries: providers.leader().map(|p| p.countries.len()).unwrap_or(0),
-            state_led_countries: state_led,
-        }
     }
 
     /// Change in third-party URL share from the first to the last
     /// snapshot.
     pub fn third_party_delta(&self) -> f64 {
         match (self.snapshots.first(), self.snapshots.last()) {
-            (Some(a), Some(b)) => b.third_party_urls - a.third_party_urls,
+            (Some(a), Some(b)) => b.metrics.third_party_urls - a.metrics.third_party_urls,
             _ => f64::NAN,
         }
     }
@@ -99,7 +68,7 @@ impl TrendAnalysis {
     pub fn consolidation_is_monotone(&self) -> bool {
         self.snapshots
             .windows(2)
-            .all(|w| w[1].third_party_urls >= w[0].third_party_urls - 0.02)
+            .all(|w| w[1].metrics.third_party_urls >= w[0].metrics.third_party_urls - 0.02)
     }
 }
 
@@ -132,8 +101,8 @@ mod tests {
     #[test]
     fn drift_erodes_domestic_serving_and_state_led_count() {
         let trend = run();
-        let first = &trend.snapshots[0];
-        let last = &trend.snapshots[2];
+        let first = &trend.snapshots[0].metrics;
+        let last = &trend.snapshots[2].metrics;
         assert!(
             last.domestic_serving < first.domestic_serving + 0.01,
             "domestic serving must not grow under consolidation: {} -> {}",
@@ -141,10 +110,10 @@ mod tests {
             last.domestic_serving
         );
         assert!(
-            last.state_led_countries <= first.state_led_countries,
+            last.state_led <= first.state_led,
             "state-led countries shrink: {} -> {}",
-            first.state_led_countries,
-            last.state_led_countries
+            first.state_led,
+            last.state_led
         );
     }
 
@@ -155,7 +124,8 @@ mod tests {
             [0.0, 0.1, 0.2, 0.3].iter().map(|d| (format!("d{d}"), *d)).collect();
         let trend = TrendAnalysis::run(&base, &steps, &BuildOptions::default());
         let drifts: Vec<f64> = trend.snapshots.iter().map(|s| s.drift).collect();
-        let shares: Vec<f64> = trend.snapshots.iter().map(|s| s.third_party_urls).collect();
+        let shares: Vec<f64> =
+            trend.snapshots.iter().map(|s| s.metrics.third_party_urls).collect();
         let r = govhost_stats::correlation::pearson(&drifts, &shares);
         assert!(r > 0.9, "drift strongly drives consolidation, r = {r}");
     }
@@ -165,14 +135,14 @@ mod tests {
         let base = GenParams::tiny();
         let world = World::generate(&base);
         let dataset = GovDataset::build(&world, &BuildOptions::default());
-        let direct = TrendAnalysis::measure("direct".into(), 0.0, &dataset);
+        let direct = BuildMetrics::measure(&dataset);
         let via_run = TrendAnalysis::run(
             &base,
             &[("2024".to_string(), 0.0)],
             &BuildOptions::default(),
         );
-        let snap = &via_run.snapshots[0];
+        let snap = &via_run.snapshots[0].metrics;
         assert!((snap.third_party_urls - direct.third_party_urls).abs() < 1e-12);
-        assert_eq!(snap.leader_countries, direct.leader_countries);
+        assert_eq!(snap.leader_countries(), direct.leader_countries());
     }
 }

@@ -1,122 +1,19 @@
 //! The diff engine: reduce any two builds to comparable metric tables
 //! and rank where they disagree.
 //!
-//! [`BuildMetrics::measure`] collapses a [`GovDataset`] into the
-//! headline numbers the paper compares countries by — URL/byte volume,
-//! network concentration (HHI), offshore share — plus the *dark
-//! fraction* this crate adds: the share of government URLs sitting on
-//! hosts that no longer resolve. [`diff`] then lines two measurements
-//! up row by row, computes deltas and declares winners, with a ±1%
-//! dead-band so float noise never flips a verdict. All folds run in
-//! `BTreeMap` (country-code) order, so the same pair of datasets always
-//! yields the byte-identical report.
+//! [`BuildMetrics::measure`] (re-exported from `govhost-core`, the one
+//! measurement every consumer shares) collapses a
+//! [`GovDataset`](govhost_core::dataset::GovDataset) into the headline
+//! numbers the paper compares countries by — URL/byte volume, network
+//! concentration (HHI), offshore share — plus the *dark fraction*: the
+//! share of government URLs sitting on hosts that no longer resolve.
+//! [`diff`] then lines two measurements up row by row, computes deltas
+//! and declares winners, with a ±1% dead-band so float noise never
+//! flips a verdict. All folds run in `BTreeMap` (country-code) order, so
+//! the same pair of datasets always yields the byte-identical report.
 
-use govhost_core::diversification::DiversificationAnalysis;
-use govhost_core::hosting::HostingAnalysis;
-use govhost_core::location::LocationAnalysis;
-use govhost_core::dataset::GovDataset;
-use govhost_core::providers::ProviderAnalysis;
+pub use govhost_core::measure::{BuildMetrics, CountryMetrics};
 use govhost_types::CountryCode;
-use std::collections::BTreeMap;
-
-/// One country's headline numbers in one build.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CountryMetrics {
-    /// Government URLs captured.
-    pub urls: u64,
-    /// Government bytes captured.
-    pub bytes: u64,
-    /// Distinct government hostnames.
-    pub hostnames: u32,
-    /// HHI of URLs across serving networks.
-    pub hhi_urls: f64,
-    /// HHI of bytes across serving networks.
-    pub hhi_bytes: f64,
-    /// Share of URLs served from outside the country, in percent, when
-    /// geolocation validated at least one address.
-    pub offshore_percent: Option<f64>,
-    /// Share of URLs on hosts that do not resolve, in percent.
-    pub dark_percent: f64,
-}
-
-/// A whole build reduced to comparable numbers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BuildMetrics {
-    /// Per-country metrics in country-code order.
-    pub countries: BTreeMap<CountryCode, CountryMetrics>,
-    /// Global-provider footprints: AS number → governments served.
-    pub providers: BTreeMap<u32, usize>,
-    /// Mean URL-HHI across measured countries.
-    pub mean_hhi_urls: f64,
-    /// Mean byte-HHI across measured countries.
-    pub mean_hhi_bytes: f64,
-    /// Share of all URLs on unresolving hosts, in percent.
-    pub dark_percent: f64,
-}
-
-impl BuildMetrics {
-    /// Measure one built dataset.
-    pub fn measure(dataset: &GovDataset) -> BuildMetrics {
-        let hosting = HostingAnalysis::compute(dataset);
-        let location = LocationAnalysis::compute(dataset);
-        let providers = ProviderAnalysis::compute(dataset);
-        let diversification = DiversificationAnalysis::compute(dataset, &hosting);
-        // Dark URLs: the URL table joined back to host records, counting
-        // those whose host never resolved to an address.
-        let mut dark: BTreeMap<CountryCode, u64> = BTreeMap::new();
-        let mut total: BTreeMap<CountryCode, u64> = BTreeMap::new();
-        for (_url, host) in dataset.url_views() {
-            *total.entry(host.country).or_default() += 1;
-            if host.ip.is_none() {
-                *dark.entry(host.country).or_default() += 1;
-            }
-        }
-        let mut countries = BTreeMap::new();
-        for code in dataset.countries() {
-            let Some(stats) = dataset.country_stats(code) else { continue };
-            let concentration = diversification.per_country.get(&code);
-            let urls = *total.get(&code).unwrap_or(&0);
-            let dark_urls = *dark.get(&code).unwrap_or(&0);
-            countries.insert(
-                code,
-                CountryMetrics {
-                    urls: stats.urls,
-                    bytes: stats.bytes,
-                    hostnames: stats.hostnames,
-                    hhi_urls: concentration.map_or(0.0, |c| c.hhi_urls),
-                    hhi_bytes: concentration.map_or(0.0, |c| c.hhi_bytes),
-                    offshore_percent: location.offshore_percent(code),
-                    dark_percent: percent(dark_urls, urls),
-                },
-            );
-        }
-        let n = countries.len().max(1) as f64;
-        let mean_hhi_urls =
-            countries.values().map(|c: &CountryMetrics| c.hhi_urls).sum::<f64>() / n;
-        let mean_hhi_bytes = countries.values().map(|c| c.hhi_bytes).sum::<f64>() / n;
-        let all_urls: u64 = total.values().sum();
-        let all_dark: u64 = dark.values().sum();
-        BuildMetrics {
-            countries,
-            providers: providers
-                .providers
-                .iter()
-                .map(|p| (p.asn.value(), p.countries.len()))
-                .collect(),
-            mean_hhi_urls,
-            mean_hhi_bytes,
-            dark_percent: percent(all_dark, all_urls),
-        }
-    }
-}
-
-fn percent(part: u64, whole: u64) -> f64 {
-    if whole == 0 {
-        0.0
-    } else {
-        part as f64 / whole as f64 * 100.0
-    }
-}
 
 /// Which side a metric row favors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -251,6 +148,8 @@ pub fn diff(a: &BuildMetrics, b: &BuildMetrics) -> DiffReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use govhost_core::measure::ProviderMetrics;
+    use std::collections::BTreeMap;
 
     #[test]
     fn self_diff_is_all_zero_ties() {
@@ -263,13 +162,21 @@ mod tests {
                     hostnames: 10,
                     hhi_urls: 0.3,
                     hhi_bytes: 0.4,
+                    dominant: None,
                     offshore_percent: Some(25.0),
                     dark_percent: 0.0,
                 },
             )]),
-            providers: BTreeMap::from([(13335, 3)]),
+            providers: BTreeMap::from([(
+                13335,
+                ProviderMetrics { org: "Cloudflare, Inc.".to_string(), countries: 3 },
+            )]),
             mean_hhi_urls: 0.3,
             mean_hhi_bytes: 0.4,
+            state_led: 0,
+            third_party_urls: 0.5,
+            third_party_bytes: 0.5,
+            domestic_serving: 0.75,
             dark_percent: 0.0,
         };
         let d = diff(&m, &m);

@@ -97,8 +97,8 @@ impl TimelineIndex {
         let mut codes: BTreeSet<CountryCode> = BTreeSet::new();
         let mut asns: BTreeMap<u32, String> = BTreeMap::new();
         for year in &timeline.years {
-            codes.extend(year.countries.keys().copied());
-            for (asn, p) in &year.providers {
+            codes.extend(year.metrics.countries.keys().copied());
+            for (asn, p) in &year.metrics.providers {
                 asns.entry(*asn).or_insert_with(|| p.org.clone());
             }
         }
@@ -109,7 +109,7 @@ impl TimelineIndex {
                 .years
                 .iter()
                 .filter_map(|y| {
-                    y.countries.get(&code).map(|c| {
+                    y.metrics.countries.get(&code).map(|c| {
                         let dirty = y.dirty.contains(&code);
                         let mut row = format!(
                             "{{\"year\":{},\"dirty\":{},\"urls\":{},\"bytes\":{},\"hostnames\":{}",
@@ -147,7 +147,7 @@ impl TimelineIndex {
                 .years
                 .iter()
                 .filter_map(|y| {
-                    y.providers.get(&asn).map(|p| {
+                    y.metrics.providers.get(&asn).map(|p| {
                         (
                             y.year,
                             format!(
@@ -222,10 +222,10 @@ fn render_hhi_row(y: &YearMetrics) -> String {
         "{{\"year\":{},\"dirty\":[{}],\"mean_hhi_urls\":{},\"mean_hhi_bytes\":{},\"state_led\":{},\"third_party_urls\":{}}}",
         y.year,
         dirty,
-        jf(y.mean_hhi_urls),
-        jf(y.mean_hhi_bytes),
-        y.state_led,
-        jf(y.third_party_urls)
+        jf(y.metrics.mean_hhi_urls),
+        jf(y.metrics.mean_hhi_bytes),
+        y.metrics.state_led,
+        jf(y.metrics.third_party_urls)
     )
 }
 
@@ -248,7 +248,7 @@ mod tests {
         let idx = TimelineIndex::build(&tl);
         assert_eq!(idx.year_count(), 3);
         assert!(idx.hhi().slab.body_str().starts_with("{\"count\":3"));
-        for code in tl.years[0].countries.keys() {
+        for code in tl.years[0].metrics.countries.keys() {
             let series = idx.country(code.as_str()).expect("every country has a series");
             assert!(series.slab.body_str().contains("\"year\":0"));
             assert!(series.slab.body_str().contains("\"year\":2"));

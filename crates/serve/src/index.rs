@@ -14,8 +14,11 @@
 //! zero-dependency): sorted/fixed key order, [`escape_json`] for
 //! strings, and non-finite floats rendered as `null`.
 
+use crate::history::TimelineIndex;
 use crate::router::{render_head, Bytes, HeadSpec, Response};
 use govhost_core::crossborder::FlowMatrix;
+use govhost_core::evolve::Timeline;
+use govhost_core::measure::BuildMetrics;
 use govhost_core::prelude::*;
 use govhost_obs::export::escape_json;
 use govhost_types::prelude::*;
@@ -151,24 +154,35 @@ pub struct QueryIndex {
 
 impl QueryIndex {
     /// Run the core analyses over `dataset` and render every body. The
-    /// history routes get a single-year timeline
-    /// ([`Timeline::snapshot`](govhost_core::evolve::Timeline::snapshot))
-    /// — use [`QueryIndex::with_timeline`] after an evolution run.
+    /// history routes get a single-year timeline: year 0, measured from
+    /// the same analyses — use [`QueryIndex::with_timeline`] after an
+    /// evolution run.
     pub fn build(dataset: &GovDataset) -> QueryIndex {
-        Self::with_timeline(dataset, &govhost_core::evolve::Timeline::snapshot(dataset))
+        Self::render(dataset, None)
     }
 
     /// Like [`QueryIndex::build`], but serving history routes from an
     /// evolved multi-year timeline.
-    pub fn with_timeline(
-        dataset: &GovDataset,
-        timeline: &govhost_core::evolve::Timeline,
-    ) -> QueryIndex {
+    pub fn with_timeline(dataset: &GovDataset, timeline: &Timeline) -> QueryIndex {
+        Self::render(dataset, Some(timeline))
+    }
+
+    fn render(dataset: &GovDataset, timeline: Option<&Timeline>) -> QueryIndex {
         let hosting = HostingAnalysis::compute(dataset);
         let location = LocationAnalysis::compute(dataset);
         let cross = CrossBorderAnalysis::compute(dataset);
         let providers = ProviderAnalysis::compute(dataset);
         let diversification = DiversificationAnalysis::compute(dataset, &hosting);
+        let timeline = match timeline {
+            Some(timeline) => TimelineIndex::build(timeline),
+            None => TimelineIndex::build(&Timeline::snapshot(BuildMetrics::from_analyses(
+                dataset,
+                &hosting,
+                &location,
+                &providers,
+                &diversification,
+            ))),
+        };
         let codes = dataset.countries();
 
         let healthz = format!(
@@ -273,7 +287,7 @@ impl QueryIndex {
             providers: RouteSlab::json(providers_body),
             hhi: RouteSlab::json(hhi),
             tables,
-            timeline: crate::history::TimelineIndex::build(timeline),
+            timeline,
             scenarios: crate::scenario::ScenarioIndex::default(),
         }
     }

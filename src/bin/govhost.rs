@@ -241,15 +241,16 @@ fn cmd_trends(flags: &Flags) {
     let trend = TrendAnalysis::run(&params(flags), &steps, &BuildOptions::default());
     println!("label        drift   3P URLs   3P bytes  domestic  leader-countries  state-led");
     for s in &trend.snapshots {
+        let m = &s.metrics;
         println!(
             "{:<12} {:<7.2} {:<9.3} {:<9.3} {:<9.3} {:<17} {}",
             s.label,
             s.drift,
-            s.third_party_urls,
-            s.third_party_bytes,
-            s.domestic_serving,
-            s.leader_countries,
-            s.state_led_countries
+            m.third_party_urls,
+            m.third_party_bytes,
+            m.domestic_serving,
+            m.leader_countries(),
+            m.state_led
         );
     }
     println!(
@@ -436,14 +437,14 @@ fn cmd_evolve(flags: &Flags) {
             y.year,
             y.dirty.len(),
             events,
-            y.mean_hhi_urls,
-            y.mean_hhi_bytes,
-            y.state_led,
-            y.third_party_urls
+            y.metrics.mean_hhi_urls,
+            y.metrics.mean_hhi_bytes,
+            y.metrics.state_led,
+            y.metrics.third_party_urls
         );
     }
-    let last = outcome.timeline.latest().expect("timeline has year 0");
-    let first = &outcome.timeline.years[0];
+    let last = &outcome.timeline.latest().expect("timeline has year 0").metrics;
+    let first = &outcome.timeline.years[0].metrics;
     println!(
         "Δ over {years} years: mean HHI(urls) {:+.4}, state-led {:+}, 3P URLs {:+.4}",
         last.mean_hhi_urls - first.mean_hhi_urls,
