@@ -47,7 +47,8 @@ fn longitudinal_run_shows_consolidation() {
     assert!(trend.third_party_delta() > 0.03);
     // Domestic serving erodes alongside.
     assert!(
-        trend.snapshots[1].domestic_serving <= trend.snapshots[0].domestic_serving + 0.02
+        trend.snapshots[1].metrics.domestic_serving
+            <= trend.snapshots[0].metrics.domestic_serving + 0.02
     );
 }
 
